@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "src/core/state_store.hpp"
 #include "src/core/sync.hpp"
@@ -111,26 +112,32 @@ BENCHMARK(BM_TaskJsonRoundTrip);
 
 // ---------------------------------------------------------- state store
 
-static void BM_StateStoreCommitMemory(benchmark::State& state) {
-  entk::StateStore store;
-  long i = 0;
+// Commits Scheduled -> Submitting for 1024 subjects round-robin, the way
+// the Synchronizer does: registry id, uid and an interned component.
+static void commit_round_robin(benchmark::State& state,
+                               entk::StateStore& store) {
+  std::vector<std::string> uids;
+  for (int i = 0; i < 1024; ++i) uids.push_back("task." + std::to_string(i));
+  const std::uint16_t component = store.intern("bench");
+  std::uint32_t i = 0;
   for (auto _ : state) {
-    store.commit("task." + std::to_string(i++ % 1024), "task", "SCHEDULED",
-                 "SUBMITTING", "bench");
+    const std::uint32_t id = i++ % 1024;
+    store.commit({id, entk::TaskState::Scheduled, entk::TaskState::Submitting},
+                 uids[id], component);
   }
   state.SetItemsProcessed(state.iterations());
+}
+
+static void BM_StateStoreCommitMemory(benchmark::State& state) {
+  entk::StateStore store;
+  commit_round_robin(state, store);
 }
 BENCHMARK(BM_StateStoreCommitMemory);
 
 static void BM_StateStoreCommitJournaled(benchmark::State& state) {
   const std::string dir = make_temp_dir();
   entk::StateStore store(dir + "/states.jsonl");
-  long i = 0;
-  for (auto _ : state) {
-    store.commit("task." + std::to_string(i++ % 1024), "task", "SCHEDULED",
-                 "SUBMITTING", "bench");
-  }
-  state.SetItemsProcessed(state.iterations());
+  commit_round_robin(state, store);
 }
 BENCHMARK(BM_StateStoreCommitJournaled);
 
@@ -180,14 +187,15 @@ static void BM_SyncRoundTripAcked(benchmark::State& state) {
   bench.task()->set_state(entk::TaskState::Scheduling);
   bool to_failed = true;
   for (auto _ : state) {
+    const std::uint32_t id = bench.task()->id();
     if (to_failed) {
-      bench.client().sync(bench.task()->uid(), "task", "SCHEDULING", "FAILED",
-                          true);
+      bench.client().sync(
+          {id, entk::TaskState::Scheduling, entk::TaskState::Failed}, true);
     } else {
-      bench.client().sync(bench.task()->uid(), "task", "FAILED", "DESCRIBED",
-                          true);
-      bench.client().sync(bench.task()->uid(), "task", "DESCRIBED",
-                          "SCHEDULING", true);
+      bench.client().sync(
+          {id, entk::TaskState::Failed, entk::TaskState::Described}, true);
+      bench.client().sync(
+          {id, entk::TaskState::Described, entk::TaskState::Scheduling}, true);
     }
     to_failed = !to_failed;
   }

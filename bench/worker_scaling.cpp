@@ -55,13 +55,10 @@ Run drain_ensemble(int workers, int cores, int tasks, double duration_vs,
       return std::make_shared<rts::LocalRts>(
           rts::LocalRtsConfig{.workers = cores}, clock, profiler);
     };
-    worker::UnitResolver resolver =
-        [](const std::string&) -> std::optional<rts::TaskUnit> {
-      return std::nullopt;  // daemon mode: units arrive inline
-    };
+    // Daemon mode: no resolver, units arrive inline.
     fleet.push_back(std::make_unique<worker::WorkerRuntime>(
-        cfg.worker_id, cfg, broker, resolver, "q.pending", "q.completed",
-        "q.states", factory, profiler));
+        cfg.worker_id, cfg, broker, worker::UnitResolver{}, "q.pending",
+        "q.completed", "q.states", factory, profiler));
     fleet.back()->acquire_resources();
     fleet.back()->start();
   }

@@ -6,8 +6,8 @@
 // explicit lifecycle state machine
 //
 //     New -> Starting -> Running -> Draining -> Stopped
-//                 \          \          \
-//                  +----------+----------+--> Failed --> Starting (restart)
+//                 |          |          |
+//                 +----------+----------+--> Failed --> Starting (restart)
 //
 // owning N supervised Worker loops (worker.hpp). A worker exception no
 // longer reaches std::terminate: the Worker catches it, the component

@@ -10,27 +10,51 @@
 
 namespace entk {
 
-void Profiler::record(const std::string& component, const std::string& event,
-                      const std::string& uid, double virtual_s) {
-  ProfileEvent e;
+void Profiler::record(std::string_view component, std::string_view event,
+                      std::string_view uid, double virtual_s) {
+  Event e;
   e.wall_us = wall_now_us();
   e.virtual_s = virtual_s;
-  e.component = component;
-  e.event = event;
   e.uid = uid;
   std::lock_guard<std::mutex> lock(mutex_);
+  e.component = intern_locked(component);
+  e.event = intern_locked(event);
   // Maintain the per-event-name index inline so first/last/count queries
   // never rescan the log.
-  EventIndexEntry& entry = index_[event];
+  EventIndexEntry& entry = index_[e.event];
   if (entry.count == 0) entry.first_us = e.wall_us;
   entry.last_us = e.wall_us;
   ++entry.count;
   events_.push_back(std::move(e));
 }
 
+std::uint32_t Profiler::intern_locked(std::string_view name) {
+  const auto it = name_ids_.find(name);
+  if (it != name_ids_.end()) return it->second;
+  const auto id = static_cast<std::uint32_t>(names_.size());
+  names_.emplace_back(name);
+  name_ids_.emplace(names_.back(), id);
+  index_.emplace_back();
+  return id;
+}
+
+const Profiler::EventIndexEntry* Profiler::find_locked(
+    std::string_view event) const {
+  const auto it = name_ids_.find(event);
+  if (it == name_ids_.end() || index_[it->second].count == 0) return nullptr;
+  return &index_[it->second];
+}
+
+ProfileEvent Profiler::render_locked(const Event& e) const {
+  return {e.wall_us, e.virtual_s, names_[e.component], names_[e.event], e.uid};
+}
+
 std::vector<ProfileEvent> Profiler::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
+  std::vector<ProfileEvent> out;
+  out.reserve(events_.size());
+  for (const Event& e : events_) out.push_back(render_locked(e));
+  return out;
 }
 
 std::size_t Profiler::size() const {
@@ -40,16 +64,16 @@ std::size_t Profiler::size() const {
 
 std::optional<std::int64_t> Profiler::first_us(const std::string& event) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(event);
-  if (it == index_.end()) return std::nullopt;
-  return it->second.first_us;
+  const EventIndexEntry* entry = find_locked(event);
+  if (entry == nullptr) return std::nullopt;
+  return entry->first_us;
 }
 
 std::optional<std::int64_t> Profiler::last_us(const std::string& event) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(event);
-  if (it == index_.end()) return std::nullopt;
-  return it->second.last_us;
+  const EventIndexEntry* entry = find_locked(event);
+  if (entry == nullptr) return std::nullopt;
+  return entry->last_us;
 }
 
 double Profiler::span_s(const std::string& start_event,
@@ -63,13 +87,16 @@ double Profiler::span_s(const std::string& start_event,
 double Profiler::paired_sum_s(const std::string& start_event,
                               const std::string& end_event) const {
   std::lock_guard<std::mutex> lock(mutex_);
+  const auto start = name_ids_.find(start_event);
+  const auto end = name_ids_.find(end_event);
+  if (start == name_ids_.end() || end == name_ids_.end()) return 0.0;
   std::map<std::string, std::int64_t> starts;
   double total = 0.0;
-  for (const auto& e : events_) {
-    if (e.event == start_event) {
+  for (const Event& e : events_) {
+    if (e.event == start->second) {
       // Keep the first start per uid.
       starts.emplace(e.uid, e.wall_us);
-    } else if (e.event == end_event) {
+    } else if (e.event == end->second) {
       const auto it = starts.find(e.uid);
       if (it != starts.end()) {
         total += static_cast<double>(e.wall_us - it->second) * 1e-6;
@@ -82,8 +109,8 @@ double Profiler::paired_sum_s(const std::string& start_event,
 
 std::size_t Profiler::count(const std::string& event) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(event);
-  return it == index_.end() ? 0 : it->second.count;
+  const EventIndexEntry* entry = find_locked(event);
+  return entry == nullptr ? 0 : entry->count;
 }
 
 namespace {
@@ -108,11 +135,11 @@ void Profiler::dump_csv(const std::string& path) const {
   if (f == nullptr) throw EnTKError("Profiler: cannot open " + path);
   std::fprintf(f, "wall_us,virtual_s,component,event,uid\n");
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& e : events_) {
+  for (const Event& e : events_) {
     std::fprintf(f, "%lld,%.6f,%s,%s,%s\n",
                  static_cast<long long>(e.wall_us), e.virtual_s,
-                 csv_field(e.component).c_str(), csv_field(e.event).c_str(),
-                 csv_field(e.uid).c_str());
+                 csv_field(names_[e.component]).c_str(),
+                 csv_field(names_[e.event]).c_str(), csv_field(e.uid).c_str());
   }
   std::fclose(f);
 }
@@ -120,7 +147,7 @@ void Profiler::dump_csv(const std::string& path) const {
 void Profiler::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   events_.clear();
-  index_.clear();
+  for (EventIndexEntry& entry : index_) entry = {};
 }
 
 namespace {

@@ -6,6 +6,10 @@
 // Overhead" or "RTS Tear-Down Overhead" as differences between the first and
 // last occurrence of well-known event names — the same methodology the
 // reference implementation applies to its profiler traces.
+//
+// Component and event names are interned in a small table, so a recorded
+// event is compact; ProfileEvent strings are rendered only by events() and
+// dump_csv().
 #pragma once
 
 #include <cstdint>
@@ -13,6 +17,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -29,8 +34,8 @@ struct ProfileEvent {
 /// Thread-safe append-only event recorder.
 class Profiler {
  public:
-  void record(const std::string& component, const std::string& event,
-              const std::string& uid = "", double virtual_s = -1.0);
+  void record(std::string_view component, std::string_view event,
+              std::string_view uid = {}, double virtual_s = -1.0);
 
   /// Snapshot of all recorded events, in record order.
   std::vector<ProfileEvent> events() const;
@@ -65,16 +70,38 @@ class Profiler {
   void clear();
 
  private:
+  /// A recorded event: `component` and `event` index names_.
+  struct Event {
+    std::int64_t wall_us = 0;
+    double virtual_s = -1.0;
+    std::uint32_t component = 0;
+    std::uint32_t event = 0;
+    std::string uid;
+  };
   /// first/last timestamp and count per event name, updated by record().
   struct EventIndexEntry {
     std::int64_t first_us = 0;
     std::int64_t last_us = 0;
     std::size_t count = 0;
   };
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
+  std::uint32_t intern_locked(std::string_view name);
+  /// Index entry of `event`; nullptr when it was never recorded.
+  const EventIndexEntry* find_locked(std::string_view event) const;
+  ProfileEvent render_locked(const Event& e) const;
 
   mutable std::mutex mutex_;
-  std::vector<ProfileEvent> events_;
-  std::unordered_map<std::string, EventIndexEntry> index_;
+  std::vector<Event> events_;
+  std::vector<std::string> names_;
+  std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
+      name_ids_;
+  std::vector<EventIndexEntry> index_;  ///< per names_ entry
 };
 
 using ProfilerPtr = std::shared_ptr<Profiler>;

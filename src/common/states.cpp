@@ -1,6 +1,6 @@
 #include "src/common/states.hpp"
 
-#include "src/common/error.hpp"
+#include <string_view>
 
 namespace entk {
 
@@ -42,28 +42,65 @@ const char* to_string(PipelineState s) {
   return "UNKNOWN";
 }
 
-TaskState task_state_from_string(const std::string& s) {
-  for (int i = 0; i <= static_cast<int>(TaskState::Canceled); ++i) {
-    const auto st = static_cast<TaskState>(i);
-    if (s == to_string(st)) return st;
+const char* to_string(ObjectKind k) {
+  switch (k) {
+    case ObjectKind::Task: return "task";
+    case ObjectKind::Stage: return "stage";
+    case ObjectKind::Pipeline: return "pipeline";
   }
-  throw ValueError("TaskState: unknown state name '" + s + "'");
+  return "unknown";
 }
 
-StageState stage_state_from_string(const std::string& s) {
-  for (int i = 0; i <= static_cast<int>(StageState::Canceled); ++i) {
-    const auto st = static_cast<StageState>(i);
-    if (s == to_string(st)) return st;
+const char* state_name(ObjectKind kind, std::uint8_t state) {
+  switch (kind) {
+    case ObjectKind::Task:
+      if (state <= static_cast<std::uint8_t>(TaskState::Canceled)) {
+        return to_string(static_cast<TaskState>(state));
+      }
+      break;
+    case ObjectKind::Stage:
+      if (state <= static_cast<std::uint8_t>(StageState::Canceled)) {
+        return to_string(static_cast<StageState>(state));
+      }
+      break;
+    case ObjectKind::Pipeline:
+      if (state <= static_cast<std::uint8_t>(PipelineState::Canceled)) {
+        return to_string(static_cast<PipelineState>(state));
+      }
+      break;
   }
-  throw ValueError("StageState: unknown state name '" + s + "'");
+  return "UNKNOWN";
 }
 
-PipelineState pipeline_state_from_string(const std::string& s) {
-  for (int i = 0; i <= static_cast<int>(PipelineState::Canceled); ++i) {
-    const auto st = static_cast<PipelineState>(i);
-    if (s == to_string(st)) return st;
+namespace {
+
+std::optional<std::uint8_t> state_from_string(ObjectKind kind,
+                                              const std::string& s) {
+  for (std::uint8_t i = 0;; ++i) {
+    const std::string_view name = state_name(kind, i);
+    if (name == "UNKNOWN") return std::nullopt;  // past the last state
+    if (s == name) return i;
   }
-  throw ValueError("PipelineState: unknown state name '" + s + "'");
+}
+
+}  // namespace
+
+std::optional<Transition> parse_transition(const std::string& kind,
+                                           const std::string& from,
+                                           const std::string& to) {
+  for (const ObjectKind k :
+       {ObjectKind::Task, ObjectKind::Stage, ObjectKind::Pipeline}) {
+    if (kind != to_string(k)) continue;
+    const auto from_state = state_from_string(k, from);
+    const auto to_state = state_from_string(k, to);
+    if (!from_state || !to_state) return std::nullopt;
+    Transition t;
+    t.kind = k;
+    t.from = *from_state;
+    t.to = *to_state;
+    return t;
+  }
+  return std::nullopt;
 }
 
 bool is_final(TaskState s) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,9 +55,50 @@ const char* to_string(TaskState s);
 const char* to_string(StageState s);
 const char* to_string(PipelineState s);
 
-TaskState task_state_from_string(const std::string& s);
-StageState stage_state_from_string(const std::string& s);
-PipelineState pipeline_state_from_string(const std::string& s);
+/// The three PST object kinds a state transition can address.
+enum class ObjectKind : std::uint8_t { Task = 0, Stage, Pipeline };
+
+const char* to_string(ObjectKind k);  ///< "task" | "stage" | "pipeline"
+
+/// Name of the raw state value `state` of `kind` ("UNKNOWN" when out of
+/// range).
+const char* state_name(ObjectKind kind, std::uint8_t state);
+
+/// Dense id the ObjectRegistry assigns every registered task, stage and
+/// pipeline (one id space for all three kinds); kNoId before registration.
+inline constexpr std::uint32_t kNoId = 0xFFFFFFFFu;
+
+/// One state transition of one PST object: the typed record the sync
+/// protocol carries, the Synchronizer applies and the StateStore commits.
+/// `from`/`to` hold the TaskState/StageState/PipelineState value of `kind`.
+struct Transition {
+  std::uint32_t id = kNoId;
+  ObjectKind kind = ObjectKind::Task;
+  std::uint8_t from = 0;
+  std::uint8_t to = 0;
+
+  Transition() = default;
+  Transition(std::uint32_t id, TaskState from, TaskState to)
+      : Transition(id, ObjectKind::Task, from, to) {}
+  Transition(std::uint32_t id, StageState from, StageState to)
+      : Transition(id, ObjectKind::Stage, from, to) {}
+  Transition(std::uint32_t id, PipelineState from, PipelineState to)
+      : Transition(id, ObjectKind::Pipeline, from, to) {}
+
+ private:
+  template <typename State>
+  Transition(std::uint32_t id, ObjectKind kind, State from, State to)
+      : id(id),
+        kind(kind),
+        from(static_cast<std::uint8_t>(from)),
+        to(static_cast<std::uint8_t>(to)) {}
+};
+
+/// Parse kind and state names into a Transition (id kNoId); nullopt when
+/// any name is unknown.
+std::optional<Transition> parse_transition(const std::string& kind,
+                                           const std::string& from,
+                                           const std::string& to);
 
 /// True when `s` is Done, Failed or Canceled.
 bool is_final(TaskState s);

@@ -177,20 +177,22 @@ void AppManager::run() {
   if (!config_.resume_journal.empty()) {
     StateStore previous;
     previous.recover(config_.resume_journal);
+    const std::uint16_t recovery = store_->intern("recovery");
+    std::size_t recovered = 0;
     for (const PipelinePtr& p : pipelines_) {
       for (const StagePtr& stage : p->stages()) {
         for (const TaskPtr& task : stage->tasks()) {
           if (previous.state_of(task->uid()) == "DONE") {
             task->set_state(TaskState::Done);
-            wf_cfg.recovered_done.insert(task->uid());
-            store_->commit(task->uid(), "task", "DESCRIBED", "DONE",
-                           "recovery");
+            ++recovered;
+            store_->commit({task->id(), TaskState::Described, TaskState::Done},
+                           task->uid(), recovery);
             profiler_->record("amgr", "task_recovered", task->uid());
           }
         }
       }
     }
-    ENTK_INFO(uid_) << "resume: recovered " << wf_cfg.recovered_done.size()
+    ENTK_INFO(uid_) << "resume: recovered " << recovered
                     << " completed task(s) from " << config_.resume_journal;
   }
   wfprocessor_ = std::make_unique<WFProcessor>(wf_cfg, broker_, &registry_,

@@ -3,7 +3,7 @@
 // Since the distributed-execution refactor this is a thin, registry-backed
 // deployment of worker::WorkerRuntime — the reusable Rmgr/Emgr/RtsCallback
 // stack in src/worker — embedded in the AppManager process. The wrapper
-// resolves pending-queue uids through the live ObjectRegistry (so task
+// resolves pending-queue ids through the live ObjectRegistry (so task
 // callables survive translation) and keeps the historical component name,
 // queue bindings and config shape, so in-process behaviour is unchanged.
 // The same runtime, constructed against a RemoteBroker with inline units,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,7 +34,11 @@ class Pipeline {
   void add_stage(StagePtr stage);
 
   const std::string& uid() const { return uid_; }
-  PipelineState state() const { return state_; }
+  /// Dense id from the ObjectRegistry (kNoId until registered).
+  std::uint32_t id() const { return id_; }
+  PipelineState state() const {
+    return state_.load(std::memory_order_acquire);
+  }
 
   /// Snapshot accessors (thread-safe).
   std::size_t stage_count() const;
@@ -64,7 +69,10 @@ class Pipeline {
   bool held_open() const { return held_open_.load(); }
 
   // Internal (WFProcessor/Synchronizer).
-  void set_state(PipelineState s) { state_ = s; }
+  void set_state(PipelineState s) {
+    state_.store(s, std::memory_order_release);
+  }
+  void set_id(std::uint32_t id) { id_ = id; }
   /// Move to the next stage; returns the new current stage or nullptr when
   /// the pipeline is exhausted.
   StagePtr advance();
@@ -82,7 +90,8 @@ class Pipeline {
 
  private:
   std::string uid_;
-  PipelineState state_ = PipelineState::Described;
+  std::uint32_t id_ = kNoId;
+  std::atomic<PipelineState> state_{PipelineState::Described};
   mutable std::mutex mutex_;
   std::vector<StagePtr> stages_;
   std::size_t current_ = 0;

@@ -9,6 +9,8 @@
 // stages to its pipeline until the prediction error drops below threshold.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,7 +38,9 @@ class Stage {
   std::size_t task_count() const { return tasks_.size(); }
 
   const std::string& uid() const { return uid_; }
-  StageState state() const { return state_; }
+  /// Dense id from the ObjectRegistry (kNoId until registered).
+  std::uint32_t id() const { return id_; }
+  StageState state() const { return state_.load(std::memory_order_acquire); }
   const std::string& parent_pipeline() const { return parent_pipeline_; }
 
   /// Throws when empty or when any task description is invalid.
@@ -45,12 +49,14 @@ class Stage {
   json::Value to_json() const;
 
   // Internal.
-  void set_state(StageState s) { state_ = s; }
+  void set_state(StageState s) { state_.store(s, std::memory_order_release); }
+  void set_id(std::uint32_t id) { id_ = id; }
   void set_parent(const std::string& pipeline);
 
  private:
   std::string uid_;
-  StageState state_ = StageState::Described;
+  std::uint32_t id_ = kNoId;
+  std::atomic<StageState> state_{StageState::Described};
   std::string parent_pipeline_;
   std::vector<TaskPtr> tasks_;
 };

@@ -6,6 +6,11 @@
 // record; recovery replays the journal to the last complete record. Hooks
 // for an external database are modeled by the pluggable sink.
 //
+// Commits are fixed typed records {seq, wall, id, kind, from, to,
+// component}; strings are rendered only where they are read: journal lines
+// (byte-identical JSONL), history(), state_of(), the external sink and
+// recover().
+//
 // Durability rides the same group-commit JournalWriter as the broker
 // journal (one flush per batch instead of one fflush per commit) and obeys
 // the same fsync-policy knob: with JournalConfig::sync_every_append the
@@ -18,17 +23,18 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "src/json/json.hpp"
+#include "src/common/states.hpp"
 #include "src/mq/journal.hpp"
 
 namespace entk {
 
+/// One committed transition, rendered with strings.
 struct StateTransaction {
   std::uint64_t seq = 0;
   double wall_s = 0.0;
@@ -55,10 +61,17 @@ class StateStore {
   /// this returns (on disk with sync_every_append, or after flush()).
   /// Returns the transaction sequence number; throws MqError when the
   /// journal hit a sticky I/O error.
-  std::uint64_t commit(const std::string& uid, const std::string& kind,
-                       const std::string& from_state,
-                       const std::string& to_state,
-                       const std::string& component);
+  ///
+  /// `t.id` is the subject's ObjectRegistry id, `uid` its uid (kept once
+  /// per id, for rendering) and `component` a name from intern(). Ids and
+  /// uids pair one to one: a commit that names a known id with another
+  /// uid, or a known uid with another id, throws ValueError and commits
+  /// nothing.
+  std::uint64_t commit(const Transition& t, const std::string& uid,
+                       std::uint16_t component);
+
+  /// Index of `name` in the store's name table (component names).
+  std::uint16_t intern(const std::string& name);
 
   /// Durability barrier: every commit so far is on disk when this
   /// returns. No-op for an in-memory store.
@@ -76,7 +89,9 @@ class StateStore {
   void set_external_sink(std::function<void(const StateTransaction&)> sink);
 
   /// Replay a journal into this (fresh) store; stops at the first torn
-  /// record. Returns the number of transactions recovered.
+  /// record. Recovered subjects get ids 0, 1, ... in first-seen order,
+  /// which later commits must respect. Returns the number of transactions
+  /// recovered.
   std::size_t recover(const std::string& journal_path);
 
   const std::string& journal_path() const { return journal_path_; }
@@ -86,14 +101,31 @@ class StateStore {
   mq::JournalWriter* journal_writer() { return writer_.get(); }
 
  private:
-  void append_locked(const StateTransaction& t);
+  /// A committed transition: `t.id` indexes uids_, `component` names_.
+  struct Record {
+    std::uint64_t seq = 0;
+    double wall_s = 0.0;
+    Transition t;
+    std::uint16_t component = 0;
+  };
+
+  std::uint16_t intern_locked(const std::string& name);
+  /// Subject id of `uid`, assigned on first sight (recovery).
+  std::uint32_t subject_locked(const std::string& uid);
+  void keep_locked(const Record& r);
+  StateTransaction render_locked(const Record& r) const;
 
   const std::string journal_path_;
   mutable std::mutex mutex_;
   std::unique_ptr<mq::JournalWriter> writer_;
   std::uint64_t next_seq_ = 1;
-  std::map<std::string, std::string> latest_;
-  std::vector<StateTransaction> history_;
+  std::vector<Record> records_;
+  std::vector<std::string> names_;  ///< component names
+  std::unordered_map<std::string, std::uint16_t> name_ids_;
+  std::vector<std::string> uids_;      ///< subject id -> uid
+  std::vector<std::uint32_t> latest_;  ///< subject id -> 1 + latest record
+  std::unordered_map<std::string, std::uint32_t> subject_ids_;
+  std::string line_;  ///< journal line buffer, reused across commits
   std::function<void(const StateTransaction&)> sink_;
 };
 

@@ -8,58 +8,83 @@ namespace entk {
 
 // --------------------------------------------------------- ObjectRegistry
 
+template <typename T>
+bool ObjectRegistry::register_locked(const std::shared_ptr<T>& object,
+                                     ObjectKind kind) {
+  const std::uint32_t id = object->id();
+  if (id < entries_.size() && entries_[id].object == object) return false;
+  const auto next = static_cast<std::uint32_t>(entries_.size());
+  if (next == kNoId) throw EnTKError("ObjectRegistry: id space exhausted");
+  entries_.push_back({object, kind});
+  ids_[object->uid()] = next;
+  object->set_id(next);
+  return true;
+}
+
 void ObjectRegistry::add_pipeline(const PipelinePtr& pipeline) {
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  pipelines_[pipeline->uid()] = pipeline;
-  for (const StagePtr& stage : pipeline->stages()) {
-    stages_[stage->uid()] = stage;
-    for (const TaskPtr& task : stage->tasks()) tasks_[task->uid()] = task;
+  if (register_locked(pipeline, ObjectKind::Pipeline)) {
+    pipelines_.push_back(pipeline);
   }
+  for (const StagePtr& stage : pipeline->stages()) add_stage_locked(stage);
 }
 
 void ObjectRegistry::add_stage(const StagePtr& stage) {
+  {
+    // Known stages (the common case: WFProcessor re-offers every stage of
+    // a pipeline after a hook) cost one shared lock, not a task walk.
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    const std::uint32_t id = stage->id();
+    if (id < entries_.size() && entries_[id].object == stage) return;
+  }
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  stages_[stage->uid()] = stage;
-  for (const TaskPtr& task : stage->tasks()) tasks_[task->uid()] = task;
+  add_stage_locked(stage);
 }
 
-TaskPtr ObjectRegistry::task(const std::string& uid) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = tasks_.find(uid);
-  return it == tasks_.end() ? nullptr : it->second;
+void ObjectRegistry::add_stage_locked(const StagePtr& stage) {
+  register_locked(stage, ObjectKind::Stage);
+  for (const TaskPtr& task : stage->tasks()) {
+    if (register_locked(task, ObjectKind::Task)) ++task_count_;
+  }
 }
 
-StagePtr ObjectRegistry::stage(const std::string& uid) const {
+template <typename T>
+std::shared_ptr<T> ObjectRegistry::get(std::uint32_t id,
+                                       ObjectKind kind) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = stages_.find(uid);
-  return it == stages_.end() ? nullptr : it->second;
+  if (id >= entries_.size() || entries_[id].kind != kind) return nullptr;
+  return std::static_pointer_cast<T>(entries_[id].object);
 }
 
-PipelinePtr ObjectRegistry::pipeline(const std::string& uid) const {
+TaskPtr ObjectRegistry::task(std::uint32_t id) const {
+  return get<Task>(id, ObjectKind::Task);
+}
+
+StagePtr ObjectRegistry::stage(std::uint32_t id) const {
+  return get<Stage>(id, ObjectKind::Stage);
+}
+
+PipelinePtr ObjectRegistry::pipeline(std::uint32_t id) const {
+  return get<Pipeline>(id, ObjectKind::Pipeline);
+}
+
+std::uint32_t ObjectRegistry::id_of(const std::string& uid) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = pipelines_.find(uid);
-  return it == pipelines_.end() ? nullptr : it->second;
+  const auto it = ids_.find(uid);
+  return it == ids_.end() ? kNoId : it->second;
 }
 
 std::size_t ObjectRegistry::task_count() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  return tasks_.size();
+  return task_count_;
 }
 
 std::vector<PipelinePtr> ObjectRegistry::pipelines() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  std::vector<PipelinePtr> out;
-  out.reserve(pipelines_.size());
-  for (const auto& [uid, p] : pipelines_) {
-    (void)uid;
-    out.push_back(p);
-  }
-  return out;
+  return pipelines_;
 }
 
 // ----------------------------------------------------------- Synchronizer
-// (SyncClient moved to src/worker/sync_client.cpp: remote workers use it
-// through the broker without linking core.)
 
 Synchronizer::Synchronizer(mq::BrokerHandlePtr broker, std::string states_queue,
                            ObjectRegistry* registry, StateStore* store,
@@ -118,69 +143,74 @@ void Synchronizer::loop() {
   profiler_->record("synchronizer", "sync_stop");
 }
 
+namespace {
+
+/// Validate `t` against the object's current state and the transition
+/// table, then apply it to the live object.
+template <typename Object>
+bool advance(Object& object, const Transition& t, const std::string& component) {
+  using State = decltype(object.state());
+  const auto from = static_cast<State>(t.from);
+  const auto to = static_cast<State>(t.to);
+  const State current = object.state();
+  if (current != from || !is_valid_transition(from, to)) {
+    ENTK_WARN("synchronizer")
+        << component << ": invalid " << to_string(t.kind) << " transition "
+        << to_string(from) << "->" << to_string(to) << " (current "
+        << to_string(current) << ") for " << object.uid();
+    return false;
+  }
+  object.set_state(to);
+  return true;
+}
+
+}  // namespace
+
 void Synchronizer::process(const json::Value& msg) {
+  // One wire form (SyncClient): {"ids": [...], kind, from, to, component,
+  // corr, reply_to?}. Kind and states are parsed once per message; the ids
+  // then become typed transitions, applied as one uninterrupted sequence
+  // (this thread is the only state writer), each validated and committed
+  // individually, and the whole message is confirmed with one reply.
   const std::string component = msg.get_string("component", "?");
-  bool ok = false;
-  json::Value ack;
-  if (msg.contains("batch") || msg.contains("uids")) {
-    // Vectored request: the entries are applied as one uninterrupted
-    // sequence (this thread is the only state writer), each validated and
-    // committed individually, and the whole batch confirmed with one reply.
-    // Two wire forms: compact homogeneous ({"uids": [...], kind, from, to})
-    // and general per-entry ({"batch": [{uid, kind, from, to}, ...]}).
-    std::size_t applied = 0;
-    std::size_t total = 0;
-    auto apply_entry = [&](const std::string& uid, const std::string& kind,
-                           const std::string& from, const std::string& to) {
+  const std::uint16_t component_id = store_->intern(component);
+  const std::optional<Transition> shape =
+      parse_transition(msg.get_string("kind", ""), msg.get_string("from", ""),
+                       msg.get_string("to", ""));
+  if (!shape) {
+    ENTK_WARN("synchronizer") << component << ": unknown transition in "
+                              << msg.dump();
+  }
+  std::size_t applied = 0;
+  std::size_t total = 0;
+  if (msg.contains("ids") && msg.at("ids").is_array()) {
+    for (const json::Value& id : msg.at("ids").as_array()) {
       ++total;
-      bool entry_ok = false;
-      try {
-        entry_ok = apply(uid, kind, from, to, component);
-      } catch (const EnTKError& e) {
-        ENTK_WARN("synchronizer") << "rejecting batch entry: " << e.what();
+      bool ok = false;
+      if (shape && id.is_int() && id.as_int() >= 0 && id.as_int() < kNoId) {
+        Transition t = *shape;
+        t.id = static_cast<std::uint32_t>(id.as_int());
+        try {
+          ok = apply(t, component_id, component);
+        } catch (const EnTKError& e) {
+          ENTK_WARN("synchronizer") << "rejecting transition: " << e.what();
+        }
       }
-      if (entry_ok) {
+      if (ok) {
         ++applied;
         ++processed_;
       } else {
         ++rejected_;
       }
-    };
-    if (msg.contains("uids")) {
-      const std::string kind = msg.get_string("kind", "");
-      const std::string from = msg.get_string("from", "");
-      const std::string to = msg.get_string("to", "");
-      for (const json::Value& u : msg.at("uids").as_array()) {
-        apply_entry(u.as_string(), kind, from, to);
-      }
-    } else {
-      for (const json::Value& entry : msg.at("batch").as_array()) {
-        apply_entry(entry.get_string("uid", ""), entry.get_string("kind", ""),
-                    entry.get_string("from", ""), entry.get_string("to", ""));
-      }
     }
-    ok = applied == total;
-    ack["corr"] = msg.get_int("corr", 0);
-    ack["applied"] = applied;
-  } else {
-    try {
-      ok = apply(msg.get_string("uid", ""), msg.get_string("kind", ""),
-                 msg.get_string("from", ""), msg.get_string("to", ""),
-                 component);
-    } catch (const EnTKError& e) {
-      ENTK_WARN("synchronizer") << "rejecting message: " << e.what();
-    }
-    if (ok) {
-      ++processed_;
-    } else {
-      ++rejected_;
-    }
-    ack["uid"] = msg.get_string("uid", "");
-    ack["to"] = msg.get_string("to", "");
   }
+  if (total == 0) ++rejected_;  // no ids at all: a malformed request
   const std::string reply_to = msg.get_string("reply_to", "");
   if (!reply_to.empty()) {
-    ack["ok"] = ok;
+    json::Value ack;
+    ack["corr"] = msg.get_int("corr", 0);
+    ack["applied"] = applied;
+    ack["ok"] = total > 0 && applied == total;
     try {
       broker_->publish(reply_to,
                        mq::Message::json_body(reply_to, std::move(ack)));
@@ -190,52 +220,21 @@ void Synchronizer::process(const json::Value& msg) {
   }
 }
 
-bool Synchronizer::apply(const std::string& uid, const std::string& kind,
-                         const std::string& from, const std::string& to,
-                         const std::string& component) {
-  if (kind == "task") {
-    TaskPtr task = registry_->task(uid);
-    if (!task) return false;
-    const TaskState from_s = task_state_from_string(from);
-    const TaskState to_s = task_state_from_string(to);
-    if (task->state() != from_s || !is_valid_transition(from_s, to_s)) {
-      ENTK_WARN("synchronizer")
-          << component << ": invalid task transition " << from << "->" << to
-          << " (current " << to_string(task->state()) << ") for " << uid;
-      return false;
-    }
-    task->set_state(to_s);
-  } else if (kind == "stage") {
-    StagePtr stage = registry_->stage(uid);
-    if (!stage) return false;
-    const StageState from_s = stage_state_from_string(from);
-    const StageState to_s = stage_state_from_string(to);
-    if (stage->state() != from_s || !is_valid_transition(from_s, to_s)) {
-      ENTK_WARN("synchronizer")
-          << component << ": invalid stage transition " << from << "->" << to
-          << " for " << uid;
-      return false;
-    }
-    stage->set_state(to_s);
-  } else if (kind == "pipeline") {
-    PipelinePtr pipeline = registry_->pipeline(uid);
-    if (!pipeline) return false;
-    const PipelineState from_s = pipeline_state_from_string(from);
-    const PipelineState to_s = pipeline_state_from_string(to);
-    if (pipeline->state() != from_s || !is_valid_transition(from_s, to_s)) {
-      ENTK_WARN("synchronizer")
-          << component << ": invalid pipeline transition " << from << "->"
-          << to << " for " << uid;
-      return false;
-    }
-    pipeline->set_state(to_s);
-  } else {
-    return false;
+bool Synchronizer::apply(const Transition& t, std::uint16_t component,
+                         const std::string& component_name) {
+  // The StateStore record (seq, wall time, subject, states, requester) is
+  // the one representation of a commit.
+  auto commit = [&](const auto& object) {
+    if (!object || !advance(*object, t, component_name)) return false;
+    store_->commit(t, object->uid(), component);
+    return true;
+  };
+  switch (t.kind) {
+    case ObjectKind::Task: return commit(registry_->task(t.id));
+    case ObjectKind::Stage: return commit(registry_->stage(t.id));
+    case ObjectKind::Pipeline: return commit(registry_->pipeline(t.id));
   }
-
-  store_->commit(uid, kind, from, to, component);
-  profiler_->record("synchronizer", "state_commit", uid);
-  return true;
+  return false;
 }
 
 }  // namespace entk

@@ -11,11 +11,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "src/common/busy.hpp"
 #include "src/common/clock.hpp"
@@ -27,35 +28,55 @@
 
 namespace entk {
 
-/// uid -> live object maps; owned by AppManager, shared with components.
-/// Read-mostly after setup (lookups on every transition, inserts only at
-/// pipeline/stage registration), so reads take shared locks and never
-/// contend with each other.
+/// The live PST objects of one application; owned by AppManager, shared
+/// with components. Registration gives every task, stage and pipeline the
+/// next dense id of one id space (its `id()`), so a per-transition lookup
+/// is a vector index; the uid -> id map serves recovery and the wire
+/// boundary. Read-mostly after setup, so reads take shared locks.
 class ObjectRegistry {
  public:
+  /// Register a pipeline with its stages and tasks. Idempotent per object.
   void add_pipeline(const PipelinePtr& pipeline);
-
-  TaskPtr task(const std::string& uid) const;
-  StagePtr stage(const std::string& uid) const;
-  PipelinePtr pipeline(const std::string& uid) const;
-
-  std::size_t task_count() const;
-  std::vector<PipelinePtr> pipelines() const;
-
-  /// Register objects of a stage added at runtime (adaptive pipelines).
+  /// Register a stage added at runtime (adaptive pipelines) with its
+  /// tasks. Idempotent, so concurrent registrars of one stage agree on its
+  /// ids; a stage already registered here returns under a shared lock.
   void add_stage(const StagePtr& stage);
 
- private:
-  mutable std::shared_mutex mutex_;
-  std::map<std::string, TaskPtr> tasks_;
-  std::map<std::string, StagePtr> stages_;
-  std::map<std::string, PipelinePtr> pipelines_;
-};
+  /// nullptr when `id` is out of range or names an object of another kind.
+  TaskPtr task(std::uint32_t id) const;
+  StagePtr stage(std::uint32_t id) const;
+  PipelinePtr pipeline(std::uint32_t id) const;
 
-// BusyAccumulator/BusyScope now live in src/common/busy.hpp and the
-// component-side SyncClient (with Transition) in src/worker/sync_client.hpp
-// — both are re-exported through the includes above so existing call sites
-// compile unchanged. Only the AppManager-side pieces remain here.
+  /// Id registered for `uid`; kNoId when unknown.
+  std::uint32_t id_of(const std::string& uid) const;
+  TaskPtr task(const std::string& uid) const { return task(id_of(uid)); }
+  StagePtr stage(const std::string& uid) const { return stage(id_of(uid)); }
+  PipelinePtr pipeline(const std::string& uid) const {
+    return pipeline(id_of(uid));
+  }
+
+  std::size_t task_count() const;
+  /// Registered pipelines, in registration order.
+  std::vector<PipelinePtr> pipelines() const;
+
+ private:
+  struct Entry {
+    std::shared_ptr<void> object;
+    ObjectKind kind;
+  };
+  template <typename T>
+  std::shared_ptr<T> get(std::uint32_t id, ObjectKind kind) const;
+  /// Assign `object` the next id unless it is already registered here.
+  template <typename T>
+  bool register_locked(const std::shared_ptr<T>& object, ObjectKind kind);
+  void add_stage_locked(const StagePtr& stage);
+
+  mutable std::shared_mutex mutex_;
+  std::vector<Entry> entries_;  ///< indexed by id
+  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::vector<PipelinePtr> pipelines_;
+  std::size_t task_count_ = 0;
+};
 
 class StateStore;
 
@@ -83,9 +104,8 @@ class Synchronizer : public Component {
   void loop();
   void process(const json::Value& msg);
   /// Apply one transition; returns false when invalid.
-  bool apply(const std::string& uid, const std::string& kind,
-             const std::string& from, const std::string& to,
-             const std::string& component);
+  bool apply(const Transition& t, std::uint16_t component,
+             const std::string& component_name);
 
   mq::BrokerHandlePtr broker_;
   const std::string states_queue_;

@@ -38,7 +38,7 @@ json::Value Task::to_json() const {
   json::Value v;
   v["uid"] = uid_;
   v["name"] = name;
-  v["state"] = to_string(state_);
+  v["state"] = to_string(state());
   v["executable"] = executable;
   json::Value args = json::Array{};
   for (const std::string& a : arguments) args.push_back(a);
@@ -61,6 +61,7 @@ json::Value Task::to_json() const {
 rts::TaskUnit to_unit(const Task& task) {
   rts::TaskUnit unit;
   unit.uid = task.uid();
+  unit.id = task.id();
   unit.name = task.name;
   unit.executable = task.executable;
   unit.arguments = task.arguments;

@@ -8,6 +8,8 @@
 // (workloads computing actual results), or both.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -64,7 +66,9 @@ class Task {
 
   // --- runtime state (managed by the toolkit) ----------------------------
   const std::string& uid() const { return uid_; }
-  TaskState state() const { return state_; }
+  /// Dense id from the ObjectRegistry (kNoId until registered).
+  std::uint32_t id() const { return id_; }
+  TaskState state() const { return state_.load(std::memory_order_acquire); }
   int exit_code() const { return exit_code_; }
   int attempts() const { return attempts_; }
   const std::string& parent_stage() const { return parent_stage_; }
@@ -77,7 +81,10 @@ class Task {
   json::Value to_json() const;
 
   // Internal setters used by the toolkit (Synchronizer, WFProcessor).
-  void set_state(TaskState s) { state_ = s; }
+  // The Synchronizer writes the state while WFProcessor threads read it.
+  void set_state(TaskState s) { state_.store(s, std::memory_order_release); }
+  /// Set by the ObjectRegistry, under its lock, at registration.
+  void set_id(std::uint32_t id) { id_ = id; }
   void set_exit_code(int c) { exit_code_ = c; }
   void bump_attempts() { ++attempts_; }
   void set_parents(std::string pipeline, std::string stage) {
@@ -87,7 +94,8 @@ class Task {
 
  private:
   std::string uid_;
-  TaskState state_ = TaskState::Described;
+  std::uint32_t id_ = kNoId;
+  std::atomic<TaskState> state_{TaskState::Described};
   int exit_code_ = -1;
   int attempts_ = 0;
   std::string parent_stage_;

@@ -4,6 +4,20 @@
 #include "src/common/log.hpp"
 
 namespace entk {
+namespace {
+
+/// The fields every completion event starts with.
+json::Value outcome_event(const char* event, const std::string& uid,
+                          const std::string& name, const char* outcome) {
+  json::Value ev;
+  ev["event"] = event;
+  ev["uid"] = uid;
+  ev["name"] = name;
+  ev["outcome"] = outcome;
+  return ev;
+}
+
+}  // namespace
 
 WFProcessor::WFProcessor(WfConfig config, mq::BrokerHandlePtr broker,
                          ObjectRegistry* registry, std::string pending_queue,
@@ -70,13 +84,13 @@ void WFProcessor::abort(const std::string& reason) {
   ENTK_ERROR("wfprocessor") << "aborting workflow: " << reason;
   SyncClient sync(broker_, "wfp.abort", states_queue_, "q.ack.wfp.abort");
   for (const PipelinePtr& p : registry_->pipelines()) {
-    if (!is_final(p->state())) {
-      // Described pipelines must pass through Scheduling to fail.
-      if (p->state() == PipelineState::Described) {
-        sync.sync(p->uid(), "pipeline", "DESCRIBED", "SCHEDULING", true);
-      }
-      sync.sync(p->uid(), "pipeline", to_string(p->state()), "FAILED", true);
+    if (is_final(p->state())) continue;
+    // Described pipelines must pass through Scheduling to fail.
+    if (p->state() == PipelineState::Described) {
+      sync.sync({p->id(), PipelineState::Described, PipelineState::Scheduling},
+                true);
     }
+    sync.sync({p->id(), p->state(), PipelineState::Failed}, true);
   }
   {
     std::lock_guard<std::mutex> lock(done_mutex_);
@@ -94,16 +108,14 @@ void WFProcessor::cancel() {
     for (const StagePtr& stage : p->stages()) {
       for (const TaskPtr& task : stage->tasks()) {
         if (!is_final(task->state())) {
-          sync.sync(task->uid(), "task", to_string(task->state()), "CANCELED",
-                    true);
+          sync.sync({task->id(), task->state(), TaskState::Canceled}, true);
         }
       }
       if (!is_final(stage->state())) {
-        sync.sync(stage->uid(), "stage", to_string(stage->state()),
-                  "CANCELED", true);
+        sync.sync({stage->id(), stage->state(), StageState::Canceled}, true);
       }
     }
-    sync.sync(p->uid(), "pipeline", to_string(p->state()), "CANCELED", true);
+    sync.sync({p->id(), p->state(), PipelineState::Canceled}, true);
   }
   done_cv_.notify_all();
 }
@@ -118,23 +130,23 @@ void WFProcessor::enqueue_loop() {
     if (++scans % 2048 == 0) {
       ENTK_DEBUG("wfprocessor") << "enqueue alive, scan " << scans;
     }
-    std::deque<std::string> retries;
+    std::deque<std::uint32_t> retries;
     {
       std::unique_lock<std::mutex> lock(work_mutex_);
       work_cv_.wait_for(lock, std::chrono::milliseconds(2), [this] {
-        return stop_requested() || work_available_ || !retry_uids_.empty();
+        return stop_requested() || work_available_ || !retry_ids_.empty();
       });
       if (stop_requested()) return;
       work_available_ = false;
-      retries.swap(retry_uids_);
+      retries.swap(retry_ids_);
     }
 
     BusyScope busy(enqueue_busy_);
 
     // Resubmissions first: failed tasks that were re-described.
-    for (const std::string& uid : retries) {
-      TaskPtr task = registry_->task(uid);
-      if (task) enqueue_task(task, sync);
+    for (const std::uint32_t id : retries) {
+      TaskPtr task = registry_->task(id);
+      if (task) enqueue_tasks({task}, sync);
     }
 
     if (canceling_.load()) continue;
@@ -142,7 +154,8 @@ void WFProcessor::enqueue_loop() {
     for (const PipelinePtr& pipeline : registry_->pipelines()) {
       if (is_final(pipeline->state())) continue;
       if (pipeline->state() == PipelineState::Described) {
-        sync.sync(pipeline->uid(), "pipeline", "DESCRIBED", "SCHEDULING",
+        sync.sync({pipeline->id(), PipelineState::Described,
+                   PipelineState::Scheduling},
                   true);
       }
       StagePtr stage = pipeline->current_stage();
@@ -157,7 +170,7 @@ void WFProcessor::enqueue_loop() {
         // hook after the stage committed DONE but before the pipeline
         // advanced. Pick up where it left off — the hook itself was
         // consumed (at-most-once) and does not re-run.
-        register_appended_stages(pipeline);
+        for (const StagePtr& s : pipeline->stages()) registry_->add_stage(s);
         stage = pipeline->advance_past(stage);
         if (!stage) {
           complete_pipeline(pipeline, sync);
@@ -178,25 +191,15 @@ void WFProcessor::notify_work() {
   work_cv_.notify_all();
 }
 
-void WFProcessor::register_appended_stages(const PipelinePtr& pipeline) {
-  for (const StagePtr& s : pipeline->stages()) {
-    if (!registry_->stage(s->uid())) registry_->add_stage(s);
-  }
-}
-
 void WFProcessor::complete_pipeline(const PipelinePtr& pipeline,
                                     SyncClient& sync) {
   if (pipeline->state() != PipelineState::Scheduling) return;
   if (pipeline->held_open()) return;
   if (!pipeline->begin_completion()) return;
-  sync.sync(pipeline->uid(), "pipeline", "SCHEDULING", "DONE", true);
+  sync.sync({pipeline->id(), PipelineState::Scheduling, PipelineState::Done},
+            true);
   profiler_->record("wfprocessor", "pipeline_done", pipeline->uid());
-  json::Value ev;
-  ev["event"] = "pipeline";
-  ev["uid"] = pipeline->uid();
-  ev["name"] = pipeline->name;
-  ev["outcome"] = "DONE";
-  emit_event(std::move(ev));
+  emit_event(outcome_event("pipeline", pipeline->uid(), pipeline->name, "DONE"));
   done_cv_.notify_all();
 }
 
@@ -206,110 +209,66 @@ void WFProcessor::schedule_stage(const PipelinePtr& pipeline,
                             << stage->task_count() << " tasks) of "
                             << pipeline->uid();
   profiler_->record("wfprocessor", "stage_schedule_start", stage->uid());
-  sync.sync(stage->uid(), "stage", "DESCRIBED", "SCHEDULING", true);
+  sync.sync({stage->id(), StageState::Described, StageState::Scheduling},
+            true);
   std::size_t recovered = 0;
   std::vector<TaskPtr> chunk;
   for (const TaskPtr& task : stage->tasks()) {
-    if (config_.recovered_done.count(task->uid()) > 0) {
-      // Completed in a previous attempt: skip execution entirely.
+    if (task->state() == TaskState::Done) {
+      // Completed in a previous attempt (AppManager recovered it from the
+      // resume journal): skip execution entirely, so resumed applications
+      // only run the work that is still missing (paper §II-A: "executed on
+      // multiple attempts, without restarting completed tasks").
       ++recovered;
       ++tasks_recovered_;
       profiler_->record("wfprocessor", "task_recovered", task->uid());
       continue;
     }
-    if (task->state() == TaskState::Canceled) {
-      // Canceled before this stage was scheduled (cancel_tasks counted it
-      // as resolved in the book already): never dispatch it.
-      continue;
-    }
-    if (config_.batch_size <= 1) {
-      enqueue_task(task, sync);
-      continue;
-    }
+    // Canceled before this stage was scheduled (cancel_tasks counted it as
+    // resolved in the book already): never dispatch it.
+    if (task->state() == TaskState::Canceled) continue;
     chunk.push_back(task);
     if (chunk.size() >= config_.batch_size) {
-      enqueue_task_batch(chunk, sync);
+      enqueue_tasks(chunk, sync);
       chunk.clear();
     }
   }
-  if (!chunk.empty()) enqueue_task_batch(chunk, sync);
-  sync.sync(stage->uid(), "stage", "SCHEDULING", "SCHEDULED", true);
+  if (!chunk.empty()) enqueue_tasks(chunk, sync);
+  sync.sync({stage->id(), StageState::Scheduling, StageState::Scheduled},
+            true);
   profiler_->record("wfprocessor", "stage_schedule_stop", stage->uid());
   // Completion check even when nothing was recovered: cancellations may
   // have pre-resolved tasks of this stage in the book.
-  bool stage_complete = false;
-  bool stage_failed = false;
-  {
-    std::lock_guard<std::mutex> lock(book_mutex_);
-    StageBook& book = stage_books_[stage->uid()];
-    book.resolved += recovered;
-    if (book.resolved >= stage->task_count() && !book.finished) {
-      book.finished = true;
-      stage_complete = true;
-    }
-    stage_failed = book.failed > 0;
-  }
-  if (stage_complete) {
-    finish_stage(pipeline, stage, stage_failed, sync);
-  }
+  credit_stage(stage, recovered, 0, sync);
 }
 
-void WFProcessor::enqueue_task(const TaskPtr& task, SyncClient& sync) {
-  sync.sync(task->uid(), "task", "DESCRIBED", "SCHEDULING", false);
-  // The Scheduled transition is confirmed before the task becomes runnable:
-  // the state store must know about the task before the RTS can see it.
-  sync.sync(task->uid(), "task", "SCHEDULING", "SCHEDULED", true);
-  json::Value msg;
-  if (config_.inline_units) {
-    // Remote workers have no registry: ship the full unit description.
-    json::Array units;
-    units.push_back(to_unit(*task).to_json());
-    msg["units"] = std::move(units);
-  } else {
-    msg["uid"] = task->uid();
+void WFProcessor::enqueue_tasks(const std::vector<TaskPtr>& tasks,
+                                SyncClient& sync) {
+  std::vector<std::uint32_t> ids;
+  json::Array units;
+  ids.reserve(tasks.size());
+  for (const TaskPtr& task : tasks) {
+    ids.push_back(task->id());
+    if (config_.inline_units) units.push_back(to_unit(*task).to_json());
   }
+  sync.sync_batch(ids, TaskState::Described, TaskState::Scheduling, false);
+  // The Scheduled transitions are confirmed before the tasks become
+  // runnable — the state store must know about a task before the RTS can
+  // see it — with ONE round-trip for the whole batch.
+  sync.sync_batch(ids, TaskState::Scheduling, TaskState::Scheduled, true);
   // Recorded before the publish so the trace's causal order holds even
   // when the consumer records task_submitted on another thread first.
-  profiler_->record("wfprocessor", "task_enqueued", task->uid());
-  if (enqueued_metric_ != nullptr) enqueued_metric_->add(1);
-  broker_->publish(pending_queue_,
-                   mq::Message::json_body(pending_queue_, std::move(msg)));
-}
-
-void WFProcessor::enqueue_task_batch(const std::vector<TaskPtr>& tasks,
-                                     SyncClient& sync) {
-  std::vector<Transition> scheduling;
-  std::vector<Transition> scheduled;
-  scheduling.reserve(tasks.size());
-  scheduled.reserve(tasks.size());
-  json::Array uids;
-  json::Array units;
-  uids.reserve(tasks.size());
-  for (const TaskPtr& task : tasks) {
-    scheduling.push_back({task->uid(), "task", "DESCRIBED", "SCHEDULING"});
-    scheduled.push_back({task->uid(), "task", "SCHEDULING", "SCHEDULED"});
-    if (config_.inline_units) {
-      units.push_back(to_unit(*task).to_json());
-    } else {
-      uids.push_back(task->uid());
-    }
-  }
-  sync.sync_batch(scheduling, false);
-  // As in the per-task path, the Scheduled transitions are confirmed
-  // before the tasks become runnable — but with ONE round-trip for the
-  // whole batch.
-  sync.sync_batch(scheduled, true);
-  // As in enqueue_task: record before the publish for causal trace order.
   for (const TaskPtr& task : tasks) {
     profiler_->record("wfprocessor", "task_enqueued", task->uid());
   }
   if (enqueued_metric_ != nullptr) enqueued_metric_->add(tasks.size());
   if (config_.inline_units) {
-    // One message PER task, published in one vectored broker call: the
-    // syncs above still amortize across the batch, but the work-sharing
-    // granule on the Pending queue stays a single task — N workers split
-    // a burst instead of one worker's batch get swallowing it whole, and
-    // a killed worker's requeue returns only what it actually held.
+    // Remote workers have no registry: ship full unit descriptions, one
+    // message PER task, published in one vectored broker call. The syncs
+    // above still amortize across the batch, but the work-sharing granule
+    // on the Pending queue stays a single task — N workers split a burst
+    // instead of one worker's batch get swallowing it whole, and a killed
+    // worker's requeue returns only what it actually held.
     std::vector<mq::Message> msgs;
     msgs.reserve(units.size());
     for (json::Value& unit : units) {
@@ -322,7 +281,7 @@ void WFProcessor::enqueue_task_batch(const std::vector<TaskPtr>& tasks,
     broker_->publish_batch(pending_queue_, std::move(msgs));
   } else {
     json::Value msg;
-    msg["uids"] = std::move(uids);
+    msg["ids"] = json::Array(ids.begin(), ids.end());
     broker_->publish(pending_queue_,
                      mq::Message::json_body(pending_queue_, std::move(msg)));
   }
@@ -334,7 +293,7 @@ void WFProcessor::dequeue_loop() {
   SyncClient sync(broker_, "wfp.dequeue", states_queue_, "q.ack.wfp.deq");
   // Drain size: at batch_size 1 pull single deliveries (the seed path);
   // otherwise pull whole backlogs in one queue-lock acquisition.
-  const std::size_t drain = config_.batch_size <= 1 ? 1 : config_.batch_size;
+  const std::size_t drain = std::max<std::size_t>(1, config_.batch_size);
   while (!stop_requested()) {
     beat();
     const std::vector<mq::Delivery> deliveries =
@@ -369,31 +328,20 @@ void WFProcessor::dequeue_loop() {
       payloads.push_back(std::move(body));
     }
     broker_->ack_batch(done_queue_, tags);
-    if (config_.batch_size <= 1) {
-      for (const json::Value* result : results) {
-        try {
-          resolve_task(*result, sync);
-        } catch (const EnTKError& e) {
-          ENTK_ERROR("wfprocessor") << "failed to resolve task result: "
-                                    << e.what();
-        }
-      }
-    } else {
-      resolve_results(results, sync);
-    }
+    resolve_results(results, sync);
   }
 }
 
-void WFProcessor::resolve_task(const json::Value& result, SyncClient& sync) {
+TaskPtr WFProcessor::accept_result(const json::Value& result) {
+  // Results name their task by uid (the wire boundary of the Done queue).
   const std::string uid = result.get_string("uid", "");
   TaskPtr task = registry_->task(uid);
   if (!task) {
     ENTK_WARN("wfprocessor") << "result for unknown task " << uid;
-    return;
+    return nullptr;
   }
   if (canceling_.load() || task->state() == TaskState::Canceled) {
-    // Result of a unit that outlived cancellation: ignore it.
-    return;
+    return nullptr;  // unit outlived cancellation: ignore its result
   }
   if (task->state() == TaskState::Done || task->state() == TaskState::Failed) {
     // At-least-once redelivery: a worker lost its connection after
@@ -405,195 +353,129 @@ void WFProcessor::resolve_task(const json::Value& result, SyncClient& sync) {
                              << " ignored (task already "
                              << to_string(task->state()) << ")";
     if (duplicate_metric_ != nullptr) duplicate_metric_->add(1);
-    return;
+    return nullptr;
   }
-  const std::string outcome = result.get_string("outcome", "DONE");
-  const int exit_code = static_cast<int>(result.get_int("exit_code", 0));
-  task->set_exit_code(exit_code);
-
-  sync.sync(uid, "task", "SUBMITTED", "EXECUTED", false);
-  profiler_->record("wfprocessor", "task_dequeued", uid);
-
-  StagePtr stage = registry_->stage(task->parent_stage());
-  PipelinePtr pipeline = registry_->pipeline(task->parent_pipeline());
-  if (!stage || !pipeline) {
-    throw EnTKError("task " + uid + " has no registered parents");
-  }
-
-  const bool failed = outcome != "DONE";
-  if (failed) {
-    sync.sync(uid, "task", "EXECUTED", "FAILED", true);
-    int limit = task->retry_limit >= 0 ? task->retry_limit
-                                       : config_.default_task_retry_limit;
-    if (task->attempts() < limit) {
-      // Resubmission: re-describe and hand back to Enqueue (paper §II-A:
-      // failed tasks are resubmitted without restarting completed tasks).
-      task->bump_attempts();
-      sync.sync(uid, "task", "FAILED", "DESCRIBED", true);
-      ++resubmissions_;
-      profiler_->record("wfprocessor", "task_resubmit", uid);
-      {
-        std::lock_guard<std::mutex> lock(work_mutex_);
-        retry_uids_.push_back(uid);
-      }
-      work_cv_.notify_all();
-      if (resubmit_metric_ != nullptr) resubmit_metric_->add(1);
-      return;
-    }
-    ++tasks_failed_;
-    profiler_->record("wfprocessor", "task_failed", uid);
-    if (failed_metric_ != nullptr) failed_metric_->add(1);
-    emit_task_event(task, "FAILED");
-  } else {
-    sync.sync(uid, "task", "EXECUTED", "DONE", true);
-    ++tasks_done_;
-    profiler_->record("wfprocessor", "task_done", uid);
-    if (done_metric_ != nullptr) done_metric_->add(1);
-    emit_task_event(task, "DONE");
-  }
-
-  bool stage_complete = false;
-  bool stage_failed = false;
-  {
-    std::lock_guard<std::mutex> lock(book_mutex_);
-    StageBook& book = stage_books_[stage->uid()];
-    ++book.resolved;
-    if (failed) ++book.failed;
-    if (book.resolved >= stage->task_count() && !book.finished) {
-      book.finished = true;
-      stage_complete = true;
-    }
-    stage_failed = book.failed > 0;
-  }
-  if (!stage_complete) return;
-
-  finish_stage(pipeline, stage, stage_failed, sync);
+  task->set_exit_code(static_cast<int>(result.get_int("exit_code", 0)));
+  return task;
 }
 
 void WFProcessor::resolve_results(const std::vector<const json::Value*>& results,
                                   SyncClient& sync) {
   // DONE results of the drained batch share two vectored syncs (Executed
   // unconfirmed, Done confirmed — one round-trip for the whole batch);
-  // failures and retries keep the per-task path, which owns the branching.
-  struct Resolved {
-    TaskPtr task;
-    StagePtr stage;
-    PipelinePtr pipeline;
-  };
-  std::vector<Resolved> resolved;
-  std::vector<const json::Value*> rest;
-  std::vector<Transition> executed;
-  std::vector<Transition> done;
-  for (const json::Value* result_ptr : results) {
-    const json::Value& result = *result_ptr;
-    if (result.get_string("outcome", "DONE") != "DONE") {
-      rest.push_back(&result);
+  // failures take the per-task path, which owns the retry branching.
+  std::vector<TaskPtr> done;
+  std::vector<TaskPtr> failed;
+  std::vector<std::uint32_t> ids;
+  for (const json::Value* result : results) {
+    TaskPtr task = accept_result(*result);
+    if (!task) continue;
+    if (result->get_string("outcome", "DONE") != "DONE") {
+      failed.push_back(std::move(task));
       continue;
     }
-    const std::string uid = result.get_string("uid", "");
-    TaskPtr task = registry_->task(uid);
-    if (!task) {
-      ENTK_WARN("wfprocessor") << "result for unknown task " << uid;
-      continue;
-    }
-    if (canceling_.load() || task->state() == TaskState::Canceled) {
-      continue;  // unit outlived cancellation: ignore
-    }
-    if (task->state() == TaskState::Done ||
-        task->state() == TaskState::Failed) {
-      // Duplicate of an already-resolved task (at-least-once redelivery):
-      // see resolve_task for the rationale.
-      ENTK_WARN("wfprocessor") << "duplicate result for " << uid
-                               << " ignored (task already "
-                               << to_string(task->state()) << ")";
-      if (duplicate_metric_ != nullptr) duplicate_metric_->add(1);
-      continue;
-    }
-    StagePtr stage = registry_->stage(task->parent_stage());
-    PipelinePtr pipeline = registry_->pipeline(task->parent_pipeline());
-    if (!stage || !pipeline) {
-      ENTK_ERROR("wfprocessor") << "task " << uid << " has no registered "
-                                << "parents";
-      continue;
-    }
-    task->set_exit_code(static_cast<int>(result.get_int("exit_code", 0)));
-    executed.push_back({uid, "task", "SUBMITTED", "EXECUTED"});
-    done.push_back({uid, "task", "EXECUTED", "DONE"});
-    resolved.push_back({std::move(task), std::move(stage),
-                        std::move(pipeline)});
+    ids.push_back(task->id());
+    done.push_back(std::move(task));
   }
-
-  if (!resolved.empty()) {
-    sync.sync_batch(executed, false);
-    for (const Resolved& r : resolved) {
-      profiler_->record("wfprocessor", "task_dequeued", r.task->uid());
+  if (!done.empty()) {
+    sync.sync_batch(ids, TaskState::Submitted, TaskState::Executed, false);
+    for (const TaskPtr& task : done) {
+      profiler_->record("wfprocessor", "task_dequeued", task->uid());
     }
-    sync.sync_batch(done, true);
-    tasks_done_ += resolved.size();
-    for (const Resolved& r : resolved) {
-      profiler_->record("wfprocessor", "task_done", r.task->uid());
-      emit_task_event(r.task, "DONE");
+    sync.sync_batch(ids, TaskState::Executed, TaskState::Done, true);
+    tasks_done_ += done.size();
+    for (const TaskPtr& task : done) {
+      profiler_->record("wfprocessor", "task_done", task->uid());
+      emit_task_event(task, "DONE");
     }
-    if (done_metric_ != nullptr) done_metric_->add(resolved.size());
+    if (done_metric_ != nullptr) done_metric_->add(done.size());
+    for (const TaskPtr& task : done) {
+      credit_stage(registry_->stage(task->parent_stage()), 1, 0, sync);
+    }
+  }
+  for (const TaskPtr& task : failed) fail_task(task, sync);
+}
 
-    // Stage bookkeeping: one lock acquisition for the whole batch, then
-    // finish whichever stages the batch completed.
-    std::vector<std::pair<const Resolved*, bool>> completions;
+void WFProcessor::fail_task(const TaskPtr& task, SyncClient& sync) {
+  const std::uint32_t id = task->id();
+  sync.sync({id, TaskState::Submitted, TaskState::Executed}, false);
+  profiler_->record("wfprocessor", "task_dequeued", task->uid());
+  sync.sync({id, TaskState::Executed, TaskState::Failed}, true);
+  const int limit = task->retry_limit >= 0 ? task->retry_limit
+                                           : config_.default_task_retry_limit;
+  if (task->attempts() < limit) {
+    // Resubmission: re-describe and hand back to Enqueue (paper §II-A:
+    // failed tasks are resubmitted without restarting completed tasks).
+    task->bump_attempts();
+    sync.sync({id, TaskState::Failed, TaskState::Described}, true);
+    ++resubmissions_;
+    profiler_->record("wfprocessor", "task_resubmit", task->uid());
     {
-      std::lock_guard<std::mutex> lock(book_mutex_);
-      for (const Resolved& r : resolved) {
-        StageBook& book = stage_books_[r.stage->uid()];
-        ++book.resolved;
-        if (book.resolved >= r.stage->task_count() && !book.finished) {
-          book.finished = true;
-          completions.emplace_back(&r, book.failed > 0);
-        }
-      }
+      std::lock_guard<std::mutex> lock(work_mutex_);
+      retry_ids_.push_back(id);
     }
-    for (const auto& [r, stage_failed] : completions) {
-      finish_stage(r->pipeline, r->stage, stage_failed, sync);
-    }
+    work_cv_.notify_all();
+    if (resubmit_metric_ != nullptr) resubmit_metric_->add(1);
+    return;
   }
+  ++tasks_failed_;
+  profiler_->record("wfprocessor", "task_failed", task->uid());
+  if (failed_metric_ != nullptr) failed_metric_->add(1);
+  emit_task_event(task, "FAILED");
+  credit_stage(registry_->stage(task->parent_stage()), 1, 1, sync);
+}
 
-  for (const json::Value* result : rest) {
-    try {
-      resolve_task(*result, sync);
-    } catch (const EnTKError& e) {
-      ENTK_ERROR("wfprocessor") << "failed to resolve task result: "
-                                << e.what();
+void WFProcessor::credit_stage(const StagePtr& stage, std::size_t resolved,
+                               std::size_t failed, SyncClient& sync) {
+  if (!stage) return;  // parent not registered: nothing to account
+  bool stage_failed = false;
+  {
+    std::lock_guard<std::mutex> lock(book_mutex_);
+    StageBook& book = stage_books_[stage->id()];
+    book.resolved += resolved;
+    book.failed += failed;
+    // Only a fully dispatched (Scheduled) stage may finish: schedule_stage
+    // credits it once more after its Scheduled transition is confirmed, so
+    // whichever of the two comes last finishes the stage.
+    if (book.finished || book.resolved < stage->task_count() ||
+        stage->state() != StageState::Scheduled) {
+      return;
     }
+    book.finished = true;
+    stage_failed = book.failed > 0;
   }
+  PipelinePtr pipeline = registry_->pipeline(stage->parent_pipeline());
+  if (!pipeline) {
+    ENTK_ERROR("wfprocessor") << "stage " << stage->uid()
+                              << " has no registered pipeline";
+    return;
+  }
+  finish_stage(pipeline, stage, stage_failed, sync);
 }
 
 void WFProcessor::finish_stage(const PipelinePtr& pipeline,
                                const StagePtr& stage, bool stage_failed,
                                SyncClient& sync) {
-  json::Value stage_ev;
-  stage_ev["event"] = "stage";
-  stage_ev["uid"] = stage->uid();
-  stage_ev["name"] = stage->name;
+  json::Value stage_ev = outcome_event("stage", stage->uid(), stage->name,
+                                       stage_failed ? "FAILED" : "DONE");
   stage_ev["pipeline"] = pipeline->uid();
 
   if (stage_failed) {
-    sync.sync(stage->uid(), "stage", "SCHEDULED", "FAILED", true);
-    sync.sync(pipeline->uid(), "pipeline", "SCHEDULING", "FAILED", true);
+    sync.sync({stage->id(), StageState::Scheduled, StageState::Failed}, true);
+    sync.sync({pipeline->id(), PipelineState::Scheduling,
+               PipelineState::Failed},
+              true);
     ENTK_WARN("wfprocessor") << "pipeline " << pipeline->uid()
                              << " failed at stage " << stage->uid();
-    stage_ev["outcome"] = "FAILED";
     emit_event(std::move(stage_ev));
-    json::Value pipe_ev;
-    pipe_ev["event"] = "pipeline";
-    pipe_ev["uid"] = pipeline->uid();
-    pipe_ev["name"] = pipeline->name;
-    pipe_ev["outcome"] = "FAILED";
-    emit_event(std::move(pipe_ev));
+    emit_event(
+        outcome_event("pipeline", pipeline->uid(), pipeline->name, "FAILED"));
     done_cv_.notify_all();
     return;
   }
 
-  sync.sync(stage->uid(), "stage", "SCHEDULED", "DONE", true);
+  sync.sync({stage->id(), StageState::Scheduled, StageState::Done}, true);
   profiler_->record("wfprocessor", "stage_done", stage->uid());
-  stage_ev["outcome"] = "DONE";
   emit_event(std::move(stage_ev));
 
   // Post-execution hook: may extend the pipeline (adaptivity/branching).
@@ -613,8 +495,8 @@ void WFProcessor::finish_stage(const PipelinePtr& pipeline,
       throw EnTKError("stage " + stage->uid() +
                       " post_exec threw a non-standard exception");
     }
-    // Register any stages the hook appended.
-    register_appended_stages(pipeline);
+    // Register any stages the hook appended (known stages return early).
+    for (const StagePtr& s : pipeline->stages()) registry_->add_stage(s);
   }
 
   StagePtr next = pipeline->advance_past(stage);
@@ -642,47 +524,24 @@ std::size_t WFProcessor::cancel_tasks(const std::vector<std::string>& uids) {
   for (const std::string& uid : uids) {
     TaskPtr task = registry_->task(uid);
     if (!task) continue;
+    const std::uint32_t id = task->id();
     bool won = false;
     // The current state can move under us (SCHEDULING -> SCHEDULED -> ...);
     // re-read and retry a few times. Only winning the CANCELED transition
     // entitles us to the stage-book credit — if a completion raced in
-    // first, resolve_task already took it.
+    // first, resolve_results already took it.
     for (int attempt = 0; attempt < 3 && !won; ++attempt) {
       const TaskState st = task->state();
       if (is_final(st)) break;
-      won = sync.sync(uid, "task", to_string(st), "CANCELED", true);
+      won = sync.sync({id, st, TaskState::Canceled}, true);
     }
     if (!won) continue;
     ++canceled;
     ++tasks_canceled_;
     profiler_->record("wfprocessor", "task_canceled", uid);
     emit_task_event(task, "CANCELED");
-    StagePtr stage = registry_->stage(task->parent_stage());
-    PipelinePtr pipeline = registry_->pipeline(task->parent_pipeline());
-    if (!stage || !pipeline) continue;
     // A canceled task counts as resolved or its stage would never finish.
-    // Completion may only fire once the stage is fully dispatched
-    // (Scheduled); earlier cancellations are picked up by the completion
-    // check at the end of schedule_stage.
-    bool stage_complete = false;
-    {
-      std::lock_guard<std::mutex> lock(book_mutex_);
-      StageBook& book = stage_books_[stage->uid()];
-      ++book.resolved;
-      if (stage->state() == StageState::Scheduled &&
-          book.resolved >= stage->task_count() && !book.finished) {
-        book.finished = true;
-        stage_complete = true;
-      }
-    }
-    if (stage_complete) {
-      bool stage_failed = false;
-      {
-        std::lock_guard<std::mutex> lock(book_mutex_);
-        stage_failed = stage_books_[stage->uid()].failed > 0;
-      }
-      finish_stage(pipeline, stage, stage_failed, sync);
-    }
+    credit_stage(registry_->stage(task->parent_stage()), 1, 0, sync);
   }
   return canceled;
 }
@@ -703,11 +562,7 @@ void WFProcessor::emit_event(json::Value event) {
 
 void WFProcessor::emit_task_event(const TaskPtr& task, const char* outcome) {
   if (config_.events_queue.empty()) return;
-  json::Value ev;
-  ev["event"] = "task";
-  ev["uid"] = task->uid();
-  ev["name"] = task->name;
-  ev["outcome"] = outcome;
+  json::Value ev = outcome_event("task", task->uid(), task->name, outcome);
   ev["exit_code"] = task->exit_code();
   ev["stage"] = task->parent_stage();
   ev["pipeline"] = task->parent_pipeline();

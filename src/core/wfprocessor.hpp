@@ -12,10 +12,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <unordered_map>
 
 #include "src/common/component.hpp"
 #include "src/common/profiler.hpp"
@@ -30,20 +29,14 @@ struct WfConfig {
 
   /// Tasks per dispatch batch. 1 (the default here) preserves the seed's
   /// one-message-per-task path exactly. > 1 switches Enqueue to bulk
-  /// `pending` messages ({"uids": [...]}) with vectored state syncs (one
+  /// `pending` messages ({"ids": [...]}) with vectored state syncs (one
   /// confirmed round-trip per batch instead of per task) and Dequeue to
   /// batch drains of the Done queue. Every task still passes through every
   /// state and profiler event either way — only the message count changes.
   std::size_t batch_size = 1;
 
-  /// Tasks already DONE in a previous attempt (recovered from the state
-  /// journal): they are tagged resolved without re-execution, so resumed
-  /// applications only run the work that is still missing (paper §II-A:
-  /// "executed on multiple attempts, without restarting completed tasks").
-  std::set<std::string> recovered_done;
-
   /// Remote-worker mode: publish self-contained units ({"units": [...]})
-  /// on the Pending queue instead of registry uids, so registry-less
+  /// on the Pending queue instead of registry ids, so registry-less
   /// entk_worker daemons can translate and execute them. Tasks must not
   /// carry callables (they do not survive serialization; AppManager
   /// validates). State flow, profiler events and bookkeeping are
@@ -122,25 +115,28 @@ class WFProcessor : public Component {
   void dequeue_loop();
   void schedule_stage(const PipelinePtr& pipeline, const StagePtr& stage,
                       SyncClient& sync);
-  void enqueue_task(const TaskPtr& task, SyncClient& sync);
-  /// Bulk path of schedule_stage: one pending message + two vectored syncs
-  /// per chunk of `batch_size` tasks.
-  void enqueue_task_batch(const std::vector<TaskPtr>& tasks, SyncClient& sync);
-  void resolve_task(const json::Value& result, SyncClient& sync);
-  /// Bulk path of resolve: DONE results of a drained batch share vectored
-  /// Executed/Done syncs; failures fall back to the per-task path. The
-  /// pointers alias completion records inside shared message payloads the
-  /// caller keeps alive (zero-copy dequeue).
+  /// One pending message + two vectored syncs per chunk of up to
+  /// `batch_size` tasks.
+  void enqueue_tasks(const std::vector<TaskPtr>& tasks, SyncClient& sync);
+  /// The task a completion record names, with its exit code applied;
+  /// nullptr for unknown, canceled or already-resolved tasks.
+  TaskPtr accept_result(const json::Value& result);
+  /// DONE results of a drained batch share vectored Executed/Done syncs;
+  /// failures take fail_task. The pointers alias completion records inside
+  /// shared message payloads the caller keeps alive (zero-copy dequeue).
   void resolve_results(const std::vector<const json::Value*>& results,
                        SyncClient& sync);
+  /// Failed outcome: resubmit within the retry budget, else fail the task.
+  void fail_task(const TaskPtr& task, SyncClient& sync);
+  /// Credit `resolved` tasks (`failed` of them failed) to the stage's book
+  /// and finish the stage once the book covers every task (one-shot).
+  void credit_stage(const StagePtr& stage, std::size_t resolved,
+                    std::size_t failed, SyncClient& sync);
   void finish_stage(const PipelinePtr& pipeline, const StagePtr& stage,
                     bool stage_failed, SyncClient& sync);
   /// Mark an exhausted, un-held pipeline DONE (one caller wins the
   /// begin_completion guard; everyone else is a no-op).
   void complete_pipeline(const PipelinePtr& pipeline, SyncClient& sync);
-  /// Register stages a hook/controller appended to the pipeline but that
-  /// the registry has not seen yet.
-  void register_appended_stages(const PipelinePtr& pipeline);
   bool all_pipelines_final() const;
 
   // Completion-event stream (no-ops when events_queue is empty).
@@ -160,7 +156,7 @@ class WFProcessor : public Component {
   // retries).
   std::mutex work_mutex_;
   std::condition_variable work_cv_;
-  std::deque<std::string> retry_uids_;
+  std::deque<std::uint32_t> retry_ids_;
   bool work_available_ = true;
 
   // Completion signaling.
@@ -170,7 +166,7 @@ class WFProcessor : public Component {
 
   std::mutex book_mutex_;  // stage books: touched by Enqueue (recovery)
                            // and Dequeue (completions)
-  std::map<std::string, StageBook> stage_books_;
+  std::unordered_map<std::uint32_t, StageBook> stage_books_;  ///< by stage id
 
   std::atomic<std::size_t> tasks_done_{0};
   std::atomic<std::size_t> tasks_recovered_{0};

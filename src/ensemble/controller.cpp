@@ -128,12 +128,17 @@ void Controller::on_reattach() {
 }
 
 void Controller::rules_loop() {
-  while (!stop_requested()) {
+  while (true) {
     beat();
+    // A stop is honoured only once the stream is drained: when AppManager
+    // stops the controller, the events of the run's last tasks are already
+    // queued, and ResultView, the gauges and the decision journal must see
+    // every one of them.
+    const bool stopping = stop_requested();
     std::vector<mq::Delivery> deliveries = wiring_.broker->get_batch(
-        wiring_.events_queue, 64, config_.poll_timeout_s);
+        wiring_.events_queue, 64, stopping ? 0.0 : config_.poll_timeout_s);
+    if (stopping && deliveries.empty()) break;
     for (mq::Delivery& d : deliveries) {
-      if (stop_requested()) break;
       std::optional<Event> event;
       try {
         event = Event::parse(*d.message.payload());

@@ -199,6 +199,12 @@ void BrokerServer::accept_clients() {
     if (fd < 0) return;  // EAGAIN or transient error: next poll pass
     if (config_.max_connections > 0 &&
         conns_.size() >= config_.max_connections) {
+      // Count before the effect: a client that sees the refusal frame (or
+      // the close) must already find it in the counter and the metric.
+      rejected_at_capacity_.fetch_add(1, std::memory_order_relaxed);
+      if (rejected_at_capacity_metric_ != nullptr) {
+        rejected_at_capacity_metric_->add();
+      }
       // Refuse cleanly: a best-effort error frame tells the client *why*
       // before the close, instead of letting the fd table grow without
       // bound until accept() itself starts failing with EMFILE.
@@ -209,10 +215,6 @@ void BrokerServer::accept_clients() {
       const std::string encoded = encode_frame(resp);
       (void)::send(fd, encoded.data(), encoded.size(), MSG_NOSIGNAL);
       close_fd(fd);
-      rejected_at_capacity_.fetch_add(1, std::memory_order_relaxed);
-      if (rejected_at_capacity_metric_ != nullptr) {
-        rejected_at_capacity_metric_->add();
-      }
       ENTK_WARN("broker_server")
           << "refused connection: at capacity (" << config_.max_connections
           << ")";

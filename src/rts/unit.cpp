@@ -49,6 +49,7 @@ std::vector<saga::StagingDirective> staging_from_json(const json::Value& v) {
 json::Value TaskUnit::to_json() const {
   json::Value v;
   v["uid"] = uid;
+  if (id != kNoId) v["id"] = id;
   v["name"] = name;
   v["executable"] = executable;
   json::Value args = json::Array{};
@@ -68,6 +69,8 @@ json::Value TaskUnit::to_json() const {
 TaskUnit TaskUnit::from_json(const json::Value& v) {
   TaskUnit u;
   u.uid = v.get_string("uid", "");
+  const std::int64_t id = v.get_int("id", kNoId);
+  if (id >= 0 && id < kNoId) u.id = static_cast<std::uint32_t>(id);
   u.name = v.get_string("name", "");
   u.executable = v.get_string("executable", "");
   if (v.contains("arguments") && v.at("arguments").is_array()) {

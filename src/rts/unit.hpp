@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/states.hpp"
 #include "src/json/json.hpp"
 #include "src/saga/stager.hpp"
 
@@ -20,6 +21,7 @@ namespace entk::rts {
 
 struct TaskUnit {
   std::string uid;            ///< EnTK task uid (round-trips through the RTS)
+  std::uint32_t id = kNoId;   ///< the task's registry id: workers sync by it
   std::string name;
   std::string executable;     ///< modeled name ("sleep", "mdrun", ...) or an
                               ///< absolute path for real process execution

@@ -14,15 +14,30 @@ SyncClient::SyncClient(mq::BrokerHandlePtr broker, std::string component,
   broker_->declare_queue(ack_queue_);
 }
 
-bool SyncClient::sync(const std::string& uid, const std::string& kind,
-                      const std::string& from_state,
-                      const std::string& to_state, bool await_ack) {
+bool SyncClient::sync(const Transition& t, bool await_ack) {
+  json::Array ids;
+  ids.emplace_back(t.id);
+  return request(std::move(ids), t.kind, t.from, t.to, await_ack);
+}
+
+bool SyncClient::sync_batch(const std::vector<std::uint32_t>& ids,
+                            TaskState from, TaskState to, bool await_ack) {
+  if (ids.empty()) return true;
+  return request(json::Array(ids.begin(), ids.end()), ObjectKind::Task,
+                 static_cast<std::uint8_t>(from),
+                 static_cast<std::uint8_t>(to), await_ack);
+}
+
+bool SyncClient::request(json::Array ids, ObjectKind kind, std::uint8_t from,
+                         std::uint8_t to, bool await_ack) {
+  const std::uint64_t corr = next_corr_++;
   json::Value msg;
-  msg["uid"] = uid;
-  msg["kind"] = kind;
-  msg["from"] = from_state;
-  msg["to"] = to_state;
+  msg["ids"] = std::move(ids);
+  msg["kind"] = to_string(kind);
+  msg["from"] = state_name(kind, from);
+  msg["to"] = state_name(kind, to);
   msg["component"] = component_;
+  msg["corr"] = corr;
   if (await_ack) msg["reply_to"] = ack_queue_;
   try {
     broker_->publish(states_queue_,
@@ -46,85 +61,8 @@ bool SyncClient::sync(const std::string& uid, const std::string& kind,
     } catch (const json::ParseError&) {
       continue;
     }
-    if (ack->get_string("uid", "") != uid ||
-        ack->get_string("to", "") != to_state) {
-      ENTK_WARN(component_) << "out-of-order ack for "
-                            << ack->get_string("uid", "?");
-      continue;
-    }
-    return ack->get_bool("ok", false);
-  }
-  return false;
-}
-
-bool SyncClient::sync_batch(const std::vector<Transition>& transitions,
-                            bool await_ack) {
-  if (transitions.empty()) return true;
-  if (transitions.size() == 1) {
-    // No amortization to gain; keep the single-transition wire format.
-    const Transition& t = transitions.front();
-    return sync(t.uid, t.kind, t.from_state, t.to_state, await_ack);
-  }
-  const std::uint64_t corr = next_corr_++;
-  json::Value msg;
-  // Dispatch batches are homogeneous (every entry shares kind/from/to); the
-  // compact wire format hoists those fields out and ships only the uids.
-  // Mixed batches fall back to the general per-entry form.
-  bool homogeneous = true;
-  for (const Transition& t : transitions) {
-    if (t.kind != transitions.front().kind ||
-        t.from_state != transitions.front().from_state ||
-        t.to_state != transitions.front().to_state) {
-      homogeneous = false;
-      break;
-    }
-  }
-  if (homogeneous) {
-    json::Array uids;
-    uids.reserve(transitions.size());
-    for (const Transition& t : transitions) uids.push_back(t.uid);
-    msg["uids"] = std::move(uids);
-    msg["kind"] = transitions.front().kind;
-    msg["from"] = transitions.front().from_state;
-    msg["to"] = transitions.front().to_state;
-  } else {
-    json::Array batch;
-    batch.reserve(transitions.size());
-    for (const Transition& t : transitions) {
-      json::Value entry;
-      entry["uid"] = t.uid;
-      entry["kind"] = t.kind;
-      entry["from"] = t.from_state;
-      entry["to"] = t.to_state;
-      batch.push_back(std::move(entry));
-    }
-    msg["batch"] = std::move(batch);
-  }
-  msg["component"] = component_;
-  msg["corr"] = corr;
-  if (await_ack) msg["reply_to"] = ack_queue_;
-  try {
-    broker_->publish(states_queue_,
-                     mq::Message::json_body(states_queue_, std::move(msg)));
-  } catch (const MqError&) {
-    return false;  // broker shutting down
-  }
-  if (!await_ack) return true;
-  for (int spins = 0; spins < 2000; ++spins) {
-    auto delivery = broker_->get(ack_queue_, 0.005);
-    if (!delivery) {
-      if (broker_->closed()) return false;
-      continue;
-    }
-    broker_->ack(ack_queue_, delivery->delivery_tag);
-    std::shared_ptr<const json::Value> ack;
-    try {
-      ack = delivery->message.payload();
-    } catch (const json::ParseError&) {
-      continue;
-    }
     if (static_cast<std::uint64_t>(ack->get_int("corr", 0)) != corr) {
-      ENTK_WARN(component_) << "out-of-order batch ack (corr "
+      ENTK_WARN(component_) << "out-of-order ack (corr "
                             << ack->get_int("corr", 0) << ")";
       continue;
     }

@@ -72,13 +72,9 @@ WorkerDaemon::WorkerDaemon(WorkerDaemonConfig config)
   rt_cfg.max_in_flight = config_.max_in_flight;
   rt_cfg.worker_id = worker_id_;
   // Daemons have no ObjectRegistry: units arrive inline on the Pending
-  // queue; a uid-only message cannot be served here.
-  UnitResolver resolver =
-      [](const std::string&) -> std::optional<rts::TaskUnit> {
-    return std::nullopt;
-  };
+  // queue; an ids-only message cannot be served here.
   runtime_ = std::make_unique<WorkerRuntime>(
-      worker_id_, rt_cfg, broker_, std::move(resolver),
+      worker_id_, rt_cfg, broker_, UnitResolver{},
       config_.pending_queue, config_.done_queue, config_.states_queue,
       std::move(factory), profiler_);
   if (config_.metrics) runtime_->set_metrics(config_.metrics);

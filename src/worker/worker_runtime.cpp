@@ -329,28 +329,22 @@ void WorkerRuntime::emgr_loop() {
       want = std::min(want, config_.max_in_flight - flying);
     }
     // Batch: drain whatever is pending, up to submit_batch, in one broker
-    // round-trip. Three wire formats are accepted: {"uid": ...} (one task
-    // per message, seed format), {"uids": [...]} (bulk Enqueue), and
-    // {"units": [...]} (self-contained units for registry-less remote
-    // workers).
+    // round-trip. Two wire formats are accepted: {"ids": [...]} (registry
+    // ids, embedded deployment) and {"units": [...]} (self-contained units
+    // for registry-less remote workers).
     const std::vector<mq::Delivery> deliveries =
         broker_->get_batch(pending_queue_, want, config_.poll_timeout_s);
     if (deliveries.empty()) continue;
     BusyScope busy(emgr_busy_);
     std::vector<rts::TaskUnit> batch;
     std::vector<std::string> uids;
+    std::vector<std::uint32_t> ids;
     std::vector<std::uint64_t> tags;
     tags.reserve(deliveries.size());
-    auto take = [&](const std::string& uid) {
-      std::optional<rts::TaskUnit> unit = resolver_ ? resolver_(uid)
-                                                    : std::nullopt;
-      if (!unit) {
-        ENTK_WARN(sync_component_) << "pending message for unknown task "
-                                   << uid;
-        return;
-      }
-      batch.push_back(std::move(*unit));
-      uids.push_back(uid);
+    auto take = [&](rts::TaskUnit unit) {
+      uids.push_back(unit.uid);
+      ids.push_back(unit.id);
+      batch.push_back(std::move(unit));
     };
     for (const mq::Delivery& delivery : deliveries) {
       tags.push_back(delivery.delivery_tag);
@@ -364,16 +358,22 @@ void WorkerRuntime::emgr_loop() {
       if (msg->contains("units")) {
         for (const json::Value& u : msg->at("units").as_array()) {
           rts::TaskUnit unit = rts::TaskUnit::from_json(u);
-          if (unit.uid.empty()) continue;
-          uids.push_back(unit.uid);
-          batch.push_back(std::move(unit));
+          if (!unit.uid.empty()) take(std::move(unit));
         }
-      } else if (msg->contains("uids")) {
-        for (const json::Value& u : msg->at("uids").as_array()) {
-          take(u.as_string());
+      } else if (msg->contains("ids")) {
+        for (const json::Value& id : msg->at("ids").as_array()) {
+          std::optional<rts::TaskUnit> unit;
+          if (resolver_.by_id && id.is_int() && id.as_int() >= 0 &&
+              id.as_int() < kNoId) {
+            unit = resolver_.by_id(static_cast<std::uint32_t>(id.as_int()));
+          }
+          if (unit) {
+            take(std::move(*unit));
+          } else {
+            ENTK_WARN(sync_component_) << "pending message for unknown task "
+                                       << id.dump();
+          }
         }
-      } else {
-        take(msg->get_string("uid", ""));
       }
       if (config_.ack_on_completion) {
         ledger_track(delivery.delivery_tag,
@@ -385,23 +385,11 @@ void WorkerRuntime::emgr_loop() {
       broker_->ack_batch(pending_queue_, tags);
     }
     if (batch.empty()) continue;
-    if (uids.size() > 1) {
-      std::vector<Transition> submitting, submitted;
-      submitting.reserve(uids.size());
-      submitted.reserve(uids.size());
-      for (const std::string& uid : uids) {
-        submitting.push_back({uid, "task", "SCHEDULED", "SUBMITTING"});
-        submitted.push_back({uid, "task", "SUBMITTING", "SUBMITTED"});
-      }
-      sync.sync_batch(submitting, false);
-      // Publish the Submitted transitions BEFORE handing the units to the
-      // RTS: a very short task could otherwise complete and have Dequeue's
-      // Executed transition reach the Synchronizer first.
-      sync.sync_batch(submitted, false);
-    } else {
-      sync.sync(uids.front(), "task", "SCHEDULED", "SUBMITTING", false);
-      sync.sync(uids.front(), "task", "SUBMITTING", "SUBMITTED", false);
-    }
+    sync.sync_batch(ids, TaskState::Scheduled, TaskState::Submitting, false);
+    // Publish the Submitted transitions BEFORE handing the units to the
+    // RTS: a very short task could otherwise complete and have Dequeue's
+    // Executed transition reach the Synchronizer first.
+    sync.sync_batch(ids, TaskState::Submitting, TaskState::Submitted, false);
     // Recorded before the RTS sees the units so the trace's causal order
     // holds: a very short unit could otherwise record unit_exec_start on
     // the RTS thread before the submit timestamp exists.
@@ -516,7 +504,7 @@ void WorkerRuntime::restart_rts() {
       }
     }
     std::optional<rts::TaskUnit> unit =
-        resolver_ ? resolver_(uid) : std::nullopt;
+        resolver_.by_uid ? resolver_.by_uid(uid) : std::nullopt;
     if (unit) units.push_back(std::move(*unit));
   }
   if (!units.empty()) {

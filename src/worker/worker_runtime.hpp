@@ -39,11 +39,15 @@
 
 namespace entk::worker {
 
-/// Maps a pending-queue uid to a submittable unit. The embedded deployment
-/// resolves through the ObjectRegistry (callables survive); the daemon has
-/// no registry and returns nullopt for uid-only messages it cannot serve.
-using UnitResolver =
-    std::function<std::optional<rts::TaskUnit>(const std::string& uid)>;
+/// Maps tasks to submittable units. The embedded deployment resolves
+/// through the ObjectRegistry (callables survive); the daemon has no
+/// registry, leaves both empty and serves only inline units.
+struct UnitResolver {
+  /// A task id from the Pending queue's {"ids": [...]} form.
+  std::function<std::optional<rts::TaskUnit>(std::uint32_t id)> by_id;
+  /// A uid the RTS reported lost, for resubmission after an RTS restart.
+  std::function<std::optional<rts::TaskUnit>(const std::string& uid)> by_uid;
+};
 
 struct WorkerRuntimeConfig {
   /// RTS heartbeat interval and restart budget (shared knob set with the

@@ -57,9 +57,11 @@ TEST(Uids, ThreadSafeUniqueness) {
 TEST(TaskStates, NamesRoundTrip) {
   for (int i = 0; i <= static_cast<int>(TaskState::Canceled); ++i) {
     const auto s = static_cast<TaskState>(i);
-    EXPECT_EQ(task_state_from_string(to_string(s)), s);
+    const auto t = parse_transition("task", to_string(s), to_string(s));
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(t->from, static_cast<std::uint8_t>(s));
   }
-  EXPECT_THROW(task_state_from_string("BOGUS"), ValueError);
+  EXPECT_FALSE(parse_transition("task", "BOGUS", "DONE").has_value());
 }
 
 TEST(TaskStates, LinearLifecycleIsValid) {
@@ -131,7 +133,8 @@ TEST(StageStates, Lifecycle) {
   EXPECT_TRUE(is_valid_transition(StageState::Scheduled, StageState::Done));
   EXPECT_FALSE(is_valid_transition(StageState::Scheduling, StageState::Done));
   EXPECT_TRUE(is_valid_transition(StageState::Scheduled, StageState::Failed));
-  EXPECT_EQ(stage_state_from_string("SCHEDULED"), StageState::Scheduled);
+  EXPECT_EQ(parse_transition("stage", "SCHEDULED", "DONE")->from,
+            static_cast<std::uint8_t>(StageState::Scheduled));
 }
 
 TEST(PipelineStates, Lifecycle) {
@@ -141,7 +144,56 @@ TEST(PipelineStates, Lifecycle) {
   EXPECT_FALSE(is_valid_transition(PipelineState::Described, PipelineState::Done));
   EXPECT_TRUE(
       is_valid_transition(PipelineState::Scheduling, PipelineState::Failed));
-  EXPECT_EQ(pipeline_state_from_string("SCHEDULING"), PipelineState::Scheduling);
+  EXPECT_EQ(parse_transition("pipeline", "SCHEDULING", "DONE")->from,
+            static_cast<std::uint8_t>(PipelineState::Scheduling));
+}
+
+TEST(Transitions, TypedRecordsRoundTripThroughNames) {
+  // Every state of every kind survives the wire rendering (kind and state
+  // names) and parses back to the same typed transition.
+  const Transition task(7, TaskState::Executed, TaskState::Done);
+  EXPECT_EQ(task.id, 7u);
+  EXPECT_EQ(task.kind, ObjectKind::Task);
+  for (const ObjectKind kind :
+       {ObjectKind::Task, ObjectKind::Stage, ObjectKind::Pipeline}) {
+    for (std::uint8_t s = 0;
+         std::string(state_name(kind, s)) != "UNKNOWN"; ++s) {
+      const auto t = parse_transition(to_string(kind), state_name(kind, s),
+                                      state_name(kind, 0));
+      ASSERT_TRUE(t.has_value());
+      EXPECT_EQ(t->id, kNoId);
+      EXPECT_EQ(t->kind, kind);
+      EXPECT_EQ(t->from, s);
+      EXPECT_EQ(t->to, 0);
+    }
+  }
+  EXPECT_EQ(std::string(state_name(ObjectKind::Stage, 6)), "UNKNOWN");
+  EXPECT_FALSE(parse_transition("task", "DESCRIBED", "BOGUS"));
+  EXPECT_FALSE(parse_transition("stage", "SUBMITTED", "DONE"));  // task-only
+  EXPECT_FALSE(parse_transition("nonsense", "DESCRIBED", "SCHEDULING"));
+  EXPECT_FALSE(parse_transition("task", "UNKNOWN", "DONE"));
+}
+
+TEST(ProfilerTest, InternedNamesRenderBack) {
+  Profiler p;
+  p.record("comp", "start", "u1");
+  p.record(std::string("other"), std::string("start"), "u2", 1.5);
+  p.record("comp", "stop", "u1");
+  const std::vector<ProfileEvent> events = p.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[1].component, "other");
+  EXPECT_EQ(events[1].event, "start");
+  EXPECT_EQ(events[1].uid, "u2");
+  EXPECT_EQ(events[1].virtual_s, 1.5);
+  EXPECT_EQ(events[2].component, "comp");
+  EXPECT_EQ(p.count("start"), 2u);
+  EXPECT_EQ(p.count("comp"), 0u);  // a component name is not an event
+  EXPECT_FALSE(p.first_us("comp").has_value());
+  p.clear();
+  EXPECT_EQ(p.size(), 0u);
+  EXPECT_EQ(p.count("start"), 0u);
+  p.record("comp", "start");
+  EXPECT_EQ(p.events()[0].component, "comp");
 }
 
 TEST(ProfilerTest, RecordsInOrder) {

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "src/core/overheads.hpp"
 #include "src/core/state_store.hpp"
@@ -116,8 +117,9 @@ TEST(PipelineDescription, NoExtensionAfterFinal) {
 
 TEST(StateStoreTest, CommitAndQuery) {
   StateStore store;
-  store.commit("task.1", "task", "DESCRIBED", "SCHEDULING", "wfp");
-  store.commit("task.1", "task", "SCHEDULING", "SCHEDULED", "wfp");
+  const std::uint16_t wfp = store.intern("wfp");
+  store.commit({1, TaskState::Described, TaskState::Scheduling}, "task.1", wfp);
+  store.commit({1, TaskState::Scheduling, TaskState::Scheduled}, "task.1", wfp);
   EXPECT_EQ(store.state_of("task.1"), "SCHEDULED");
   EXPECT_EQ(store.state_of("unknown"), "");
   EXPECT_EQ(store.transaction_count(), 2u);
@@ -131,15 +133,19 @@ TEST(StateStoreTest, DurableRecovery) {
   const std::string path = fresh_dir() + "/states.jsonl";
   {
     StateStore store(path);
-    store.commit("p.1", "pipeline", "DESCRIBED", "SCHEDULING", "wfp");
-    store.commit("p.1", "pipeline", "SCHEDULING", "DONE", "wfp");
+    const std::uint16_t wfp = store.intern("wfp");
+    store.commit({0, PipelineState::Described, PipelineState::Scheduling},
+                 "p.1", wfp);
+    store.commit({0, PipelineState::Scheduling, PipelineState::Done}, "p.1",
+                 wfp);
   }
   StateStore recovered;
   EXPECT_EQ(recovered.recover(path), 2u);
   EXPECT_EQ(recovered.state_of("p.1"), "DONE");
-  // New commits continue the sequence.
-  const auto seq = recovered.commit("p.2", "pipeline", "DESCRIBED",
-                                    "SCHEDULING", "wfp");
+  // New commits continue the sequence (p.1 was recovered as id 0).
+  const auto seq =
+      recovered.commit({1, PipelineState::Described, PipelineState::Scheduling},
+                       "p.2", recovered.intern("wfp"));
   EXPECT_EQ(seq, 3u);
 }
 
@@ -147,7 +153,8 @@ TEST(StateStoreTest, RecoveryStopsAtTornRecord) {
   const std::string path = fresh_dir() + "/torn.jsonl";
   {
     StateStore store(path);
-    store.commit("a", "task", "DESCRIBED", "SCHEDULING", "c");
+    store.commit({0, TaskState::Described, TaskState::Scheduling}, "a",
+                 store.intern("c"));
   }
   {
     std::FILE* f = std::fopen(path.c_str(), "a");
@@ -165,10 +172,11 @@ TEST(StateStoreTest, GroupCommitCrashLosesOnlyUnflushedTail) {
   journal.max_batch_bytes = 1 << 20;
   journal.max_delay_s = 60.0;  // background flusher never fires in-test
   StateStore store(path, journal);
-  store.commit("a", "task", "DESCRIBED", "SCHEDULING", "c");
-  store.commit("a", "task", "SCHEDULING", "SCHEDULED", "c");
+  const std::uint16_t c = store.intern("c");
+  store.commit({0, TaskState::Described, TaskState::Scheduling}, "a", c);
+  store.commit({0, TaskState::Scheduling, TaskState::Scheduled}, "a", c);
   store.flush();  // durability barrier: the first two records are on disk
-  store.commit("a", "task", "SCHEDULED", "SUBMITTED", "c");
+  store.commit({0, TaskState::Scheduled, TaskState::Submitting}, "a", c);
   // Hard crash: the unflushed tail is gone, exactly what SIGKILL leaves.
   store.journal_writer()->simulate_crash();
   StateStore recovered;
@@ -181,8 +189,9 @@ TEST(StateStoreTest, SyncEveryAppendCommitsAreCrashDurable) {
   mq::JournalConfig journal;
   journal.sync_every_append = true;  // the --journal-max-delay-ms 0 policy
   StateStore store(path, journal);
-  store.commit("a", "task", "DESCRIBED", "SCHEDULING", "c");
-  store.commit("a", "task", "SCHEDULING", "SCHEDULED", "c");
+  const std::uint16_t c = store.intern("c");
+  store.commit({0, TaskState::Described, TaskState::Scheduling}, "a", c);
+  store.commit({0, TaskState::Scheduling, TaskState::Scheduled}, "a", c);
   store.journal_writer()->simulate_crash();  // no barrier needed
   StateStore recovered;
   EXPECT_EQ(recovered.recover(path), 2u);
@@ -194,9 +203,142 @@ TEST(StateStoreTest, ExternalSinkInvoked) {
   std::vector<std::string> sunk;
   store.set_external_sink(
       [&](const StateTransaction& t) { sunk.push_back(t.uid); });
-  store.commit("x", "task", "A", "B", "c");
+  store.commit({0, TaskState::Described, TaskState::Scheduling}, "x",
+               store.intern("c"));
   ASSERT_EQ(sunk.size(), 1u);
   EXPECT_EQ(sunk[0], "x");
+}
+
+TEST(StateStoreTest, JournalLineIsByteIdenticalToJsonRecord) {
+  // The typed store renders journal lines directly; they must stay
+  // byte-identical to the JSON record the string-keyed store wrote.
+  const std::string path = fresh_dir() + "/golden.jsonl";
+  {
+    StateStore store(path);
+    store.commit({7, TaskState::Described, TaskState::Scheduling},
+                 "task.0042", store.intern("wfp.enqueue"));
+    store.commit({8, StageState::Scheduled, StageState::Done},
+                 "odd \"uid\"\n", store.intern("c\\1"));
+  }
+  StateStore recovered;
+  ASSERT_EQ(recovered.recover(path), 2u);
+  const std::vector<StateTransaction> history = recovered.history();
+  std::ifstream in(path);
+  std::string line;
+  for (const StateTransaction& t : history) {
+    ASSERT_TRUE(std::getline(in, line));
+    json::Value v;
+    v["seq"] = t.seq;
+    v["wall_s"] = t.wall_s;
+    v["uid"] = t.uid;
+    v["kind"] = t.kind;
+    v["from"] = t.from_state;
+    v["to"] = t.to_state;
+    v["component"] = t.component;
+    EXPECT_EQ(line, v.dump());
+  }
+  const std::string golden_tail =
+      ",\"uid\":\"task.0042\",\"kind\":\"task\",\"from\":\"DESCRIBED\","
+      "\"to\":\"SCHEDULING\",\"component\":\"wfp.enqueue\"}";
+  in.clear();
+  in.seekg(0);
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line.rfind("{\"seq\":1,\"wall_s\":", 0), 0u) << line;
+  ASSERT_GT(line.size(), golden_tail.size());
+  EXPECT_EQ(line.substr(line.size() - golden_tail.size()), golden_tail);
+}
+
+TEST(StateStoreTest, TypedCommitsRecoverToTheSameHistory) {
+  const std::string path = fresh_dir() + "/typed.jsonl";
+  std::vector<StateTransaction> before;
+  {
+    StateStore store(path);
+    const std::uint16_t wfp = store.intern("wfp");
+    const std::uint16_t emgr = store.intern("emgr");
+    store.commit({0, PipelineState::Described, PipelineState::Scheduling},
+                 "pipeline.0000", wfp);
+    store.commit({1, StageState::Described, StageState::Scheduling},
+                 "stage.0000", wfp);
+    for (std::uint32_t id = 2; id < 5; ++id) {
+      const std::string uid = "task.000" + std::to_string(id);
+      store.commit({id, TaskState::Described, TaskState::Scheduling}, uid,
+                   wfp);
+      store.commit({id, TaskState::Scheduling, TaskState::Scheduled}, uid,
+                   wfp);
+      store.commit({id, TaskState::Scheduled, TaskState::Submitting}, uid,
+                   emgr);
+    }
+    EXPECT_EQ(store.state_of("task.0003"), "SUBMITTING");
+    EXPECT_EQ(store.state_of("stage.0000"), "SCHEDULING");
+    before = store.history();
+  }
+  StateStore recovered;
+  ASSERT_EQ(recovered.recover(path), before.size());
+  const std::vector<StateTransaction> after = recovered.history();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].seq, before[i].seq);
+    EXPECT_EQ(after[i].wall_s, before[i].wall_s);
+    EXPECT_EQ(after[i].uid, before[i].uid);
+    EXPECT_EQ(after[i].kind, before[i].kind);
+    EXPECT_EQ(after[i].from_state, before[i].from_state);
+    EXPECT_EQ(after[i].to_state, before[i].to_state);
+    EXPECT_EQ(after[i].component, before[i].component);
+  }
+  for (const char* uid : {"pipeline.0000", "stage.0000", "task.0002",
+                          "task.0003", "task.0004"}) {
+    EXPECT_EQ(recovered.state_of(uid), uid[0] == 't' ? "SUBMITTING"
+                                                       : "SCHEDULING");
+  }
+  EXPECT_EQ(recovered.state_of("task.0005"), "");
+}
+
+TEST(StateStoreTest, IdsAndUidsPairOneToOne) {
+  // A commit naming a known id with another uid (or a known uid with
+  // another id) would render the wrong subject in the journal and
+  // history(); the store refuses it and commits nothing.
+  const std::string path = fresh_dir() + "/pairs.jsonl";
+  {
+    StateStore store(path);
+    const std::uint16_t c = store.intern("c");
+    store.commit({3, TaskState::Described, TaskState::Scheduling}, "task.a",
+                 c);
+    EXPECT_THROW(store.commit({3, TaskState::Scheduling, TaskState::Scheduled},
+                              "task.b", c),
+                 ValueError);
+    EXPECT_THROW(store.commit({4, TaskState::Described, TaskState::Scheduling},
+                              "task.a", c),
+                 ValueError);
+    EXPECT_THROW(store.commit({kNoId, TaskState::Described,
+                               TaskState::Scheduling},
+                              "task.c", c),
+                 ValueError);
+    EXPECT_THROW(store.commit({5, TaskState::Described, TaskState::Scheduling},
+                              "task.c", 7),
+                 ValueError);
+    EXPECT_EQ(store.transaction_count(), 1u);
+    EXPECT_EQ(store.state_of("task.a"), "SCHEDULING");
+    EXPECT_EQ(store.state_of("task.b"), "");
+  }
+  // Recovery numbers subjects in first-seen order (task.a -> 0); a later
+  // commit that reuses id 0 for another uid is refused the same way.
+  StateStore recovered;
+  ASSERT_EQ(recovered.recover(path), 1u);
+  const std::uint16_t c = recovered.intern("c");
+  EXPECT_THROW(recovered.commit({0, TaskState::Described,
+                                 TaskState::Scheduling},
+                                "task.b", c),
+               ValueError);
+  recovered.commit({1, TaskState::Described, TaskState::Scheduling}, "task.b",
+                   c);
+  recovered.commit({0, TaskState::Scheduling, TaskState::Scheduled}, "task.a",
+                   c);
+  EXPECT_EQ(recovered.state_of("task.a"), "SCHEDULED");
+  EXPECT_EQ(recovered.state_of("task.b"), "SCHEDULING");
+  const std::vector<StateTransaction> history = recovered.history();
+  ASSERT_EQ(history.size(), 3u);
+  EXPECT_EQ(history[1].uid, "task.b");
+  EXPECT_EQ(history[2].uid, "task.a");
 }
 
 // ------------------------------------------------------- Sync protocol
@@ -236,8 +378,8 @@ class SyncFixture : public ::testing::Test {
 
 TEST_F(SyncFixture, ValidTransitionAppliedAndCommitted) {
   SyncClient client(broker_, "test", "q.states", "q.ack.test");
-  EXPECT_TRUE(client.sync(task_->uid(), "task", "DESCRIBED", "SCHEDULING",
-                          true));
+  EXPECT_TRUE(client.sync(
+      {task_->id(), TaskState::Described, TaskState::Scheduling}, true));
   EXPECT_EQ(task_->state(), TaskState::Scheduling);
   EXPECT_EQ(store_.state_of(task_->uid()), "SCHEDULING");
   EXPECT_EQ(sync_->processed(), 1u);
@@ -245,7 +387,8 @@ TEST_F(SyncFixture, ValidTransitionAppliedAndCommitted) {
 
 TEST_F(SyncFixture, InvalidTransitionRejected) {
   SyncClient client(broker_, "test", "q.states", "q.ack.test");
-  EXPECT_FALSE(client.sync(task_->uid(), "task", "DESCRIBED", "DONE", true));
+  EXPECT_FALSE(
+      client.sync({task_->id(), TaskState::Described, TaskState::Done}, true));
   EXPECT_EQ(task_->state(), TaskState::Described);
   EXPECT_EQ(store_.transaction_count(), 0u);
   EXPECT_EQ(sync_->rejected(), 1u);
@@ -253,40 +396,154 @@ TEST_F(SyncFixture, InvalidTransitionRejected) {
 
 TEST_F(SyncFixture, StaleFromStateRejected) {
   SyncClient client(broker_, "test", "q.states", "q.ack.test");
-  ASSERT_TRUE(client.sync(task_->uid(), "task", "DESCRIBED", "SCHEDULING",
-                          true));
+  ASSERT_TRUE(client.sync(
+      {task_->id(), TaskState::Described, TaskState::Scheduling}, true));
   // A second component believing the task is still DESCRIBED loses.
-  EXPECT_FALSE(client.sync(task_->uid(), "task", "DESCRIBED", "SCHEDULING",
-                           true));
+  EXPECT_FALSE(client.sync(
+      {task_->id(), TaskState::Described, TaskState::Scheduling}, true));
 }
 
 TEST_F(SyncFixture, UnknownObjectRejected) {
   SyncClient client(broker_, "test", "q.states", "q.ack.test");
-  EXPECT_FALSE(client.sync("task.9999x", "task", "DESCRIBED", "SCHEDULING",
-                           true));
-  EXPECT_FALSE(client.sync(task_->uid(), "nonsense", "A", "B", true));
+  EXPECT_FALSE(
+      client.sync({9999, TaskState::Described, TaskState::Scheduling}, true));
+  // A task transition aimed at the stage's id names no task.
+  EXPECT_FALSE(client.sync(
+      {stage_->id(), TaskState::Described, TaskState::Scheduling}, true));
+  EXPECT_EQ(task_->state(), TaskState::Described);
+  EXPECT_EQ(stage_->state(), StageState::Described);
 }
 
 TEST_F(SyncFixture, StageAndPipelineTransitions) {
   SyncClient client(broker_, "test", "q.states", "q.ack.test");
-  EXPECT_TRUE(client.sync(pipeline_->uid(), "pipeline", "DESCRIBED",
-                          "SCHEDULING", true));
+  EXPECT_TRUE(client.sync(
+      {pipeline_->id(), PipelineState::Described, PipelineState::Scheduling},
+      true));
   EXPECT_EQ(pipeline_->state(), PipelineState::Scheduling);
-  EXPECT_TRUE(client.sync(stage_->uid(), "stage", "DESCRIBED", "SCHEDULING",
-                          true));
-  EXPECT_TRUE(
-      client.sync(stage_->uid(), "stage", "SCHEDULING", "SCHEDULED", true));
+  EXPECT_TRUE(client.sync(
+      {stage_->id(), StageState::Described, StageState::Scheduling}, true));
+  EXPECT_TRUE(client.sync(
+      {stage_->id(), StageState::Scheduling, StageState::Scheduled}, true));
   EXPECT_EQ(stage_->state(), StageState::Scheduled);
 }
 
 TEST_F(SyncFixture, FireAndForgetEventuallyApplies) {
   SyncClient client(broker_, "test", "q.states", "q.ack.test");
-  client.sync(task_->uid(), "task", "DESCRIBED", "SCHEDULING", false);
+  client.sync({task_->id(), TaskState::Described, TaskState::Scheduling});
   for (int spin = 0; spin < 500 && task_->state() != TaskState::Scheduling;
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(task_->state(), TaskState::Scheduling);
+}
+
+TEST_F(SyncFixture, GarbageIdsRejectedWithoutThrowing) {
+  broker_->declare_queue("q.ack.raw");
+  auto request = [&](json::Value msg) {
+    msg["component"] = "raw";
+    msg["reply_to"] = "q.ack.raw";
+    broker_->publish("q.states",
+                     mq::Message::json_body("q.states", std::move(msg)));
+    auto reply = broker_->get("q.ack.raw", 2.0);
+    EXPECT_TRUE(reply.has_value());
+    if (!reply) return json::Value();
+    broker_->ack("q.ack.raw", reply->delivery_tag);
+    return reply->message.body_json();
+  };
+  // Out-of-range, wrong-kind and garbage entries around one valid id: each
+  // bad entry is a normal rejection, the valid one still applies.
+  json::Value mixed;
+  mixed["ids"] = json::Array{json::Value(9999),
+                             json::Value(stage_->id()),
+                             json::Value("task.0001"),
+                             json::Value(-1),
+                             json::Value(1.5),
+                             json::Value(),
+                             json::Value(4294967296LL),
+                             json::Value(task_->id())};
+  mixed["kind"] = "task";
+  mixed["from"] = "DESCRIBED";
+  mixed["to"] = "SCHEDULING";
+  const json::Value ack = request(mixed);
+  EXPECT_FALSE(ack.get_bool("ok", true));
+  EXPECT_EQ(ack.get_int("applied", -1), 1);
+  EXPECT_EQ(task_->state(), TaskState::Scheduling);
+  EXPECT_EQ(stage_->state(), StageState::Described);
+  EXPECT_EQ(sync_->processed(), 1u);
+  EXPECT_EQ(sync_->rejected(), 7u);
+
+  // Unknown kind or state names, and requests without ids.
+  json::Value bad_kind;
+  bad_kind["ids"] = json::Array{json::Value(task_->id())};
+  bad_kind["kind"] = "nonsense";
+  bad_kind["from"] = "SCHEDULING";
+  bad_kind["to"] = "SCHEDULED";
+  EXPECT_EQ(request(bad_kind).get_int("applied", -1), 0);
+  json::Value bad_state = bad_kind;
+  bad_state["kind"] = "task";
+  bad_state["to"] = "BOGUS";
+  EXPECT_EQ(request(bad_state).get_int("applied", -1), 0);
+  json::Value no_ids = bad_state;
+  no_ids.as_object().erase("ids");
+  EXPECT_FALSE(request(no_ids).get_bool("ok", true));
+  json::Value scalar_ids = bad_state;
+  scalar_ids["ids"] = "all";
+  EXPECT_FALSE(request(scalar_ids).get_bool("ok", true));
+  EXPECT_EQ(task_->state(), TaskState::Scheduling);
+  EXPECT_EQ(store_.transaction_count(), 1u);
+  EXPECT_EQ(sync_->state(), ComponentState::Running);
+}
+
+TEST(ObjectRegistryTest, IdsAreDenseInRegistrationOrder) {
+  ObjectRegistry registry;
+  auto p = std::make_shared<Pipeline>("p");
+  std::vector<StagePtr> stages;
+  std::vector<TaskPtr> tasks;
+  for (int s = 0; s < 2; ++s) {
+    stages.push_back(std::make_shared<Stage>("s"));
+    for (int t = 0; t < 2; ++t) {
+      tasks.push_back(std::make_shared<Task>("t"));
+      tasks.back()->duration_s = 1;
+      stages.back()->add_task(tasks.back());
+    }
+    p->add_stage(stages.back());
+  }
+  EXPECT_EQ(p->id(), kNoId);
+  registry.add_pipeline(p);
+  // Pipeline, then each stage followed by its tasks.
+  EXPECT_EQ(p->id(), 0u);
+  EXPECT_EQ(stages[0]->id(), 1u);
+  EXPECT_EQ(tasks[0]->id(), 2u);
+  EXPECT_EQ(tasks[1]->id(), 3u);
+  EXPECT_EQ(stages[1]->id(), 4u);
+  EXPECT_EQ(tasks[3]->id(), 6u);
+  EXPECT_EQ(registry.task(3), tasks[1]);
+  EXPECT_EQ(registry.stage(4), stages[1]);
+  EXPECT_EQ(registry.pipeline(0), p);
+  // Lookups of the wrong kind or past the end find nothing.
+  EXPECT_EQ(registry.task(4), nullptr);
+  EXPECT_EQ(registry.stage(3), nullptr);
+  EXPECT_EQ(registry.task(7), nullptr);
+  EXPECT_EQ(registry.task(kNoId), nullptr);
+  EXPECT_EQ(registry.id_of(tasks[2]->uid()), 5u);
+  EXPECT_EQ(registry.id_of("nope"), kNoId);
+
+  // add_stage extends the id space; registering again changes nothing.
+  auto late = std::make_shared<Stage>("late");
+  auto t = std::make_shared<Task>("t");
+  t->duration_s = 1;
+  late->add_task(t);
+  EXPECT_EQ(late->id(), kNoId);
+  registry.add_stage(late);
+  EXPECT_EQ(registry.stage(7), late);
+  EXPECT_EQ(late->id(), 7u);
+  EXPECT_EQ(t->id(), 8u);
+  registry.add_stage(late);
+  registry.add_pipeline(p);
+  EXPECT_EQ(late->id(), 7u);
+  EXPECT_EQ(registry.task(9), nullptr);
+  EXPECT_EQ(registry.task_count(), 5u);
+  EXPECT_EQ(registry.pipelines().size(), 1u);
 }
 
 TEST(ObjectRegistryTest, LookupAndRuntimeStageAddition) {

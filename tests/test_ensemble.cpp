@@ -264,6 +264,42 @@ TEST(ControllerE2E, CancelGroupResolvesEveryTaskExactlyOnce) {
   }
 }
 
+TEST(ControllerStop, DrainsQueuedEventsBeforeStopping) {
+  // AppManager stops the controller right after the last pipeline
+  // completes, when the final completion events may still be queued: the
+  // stop must not drop them from the ResultView.
+  auto broker = std::make_shared<mq::Broker>("drain_test");
+  broker->declare_queue("q.ensemble.events");
+  auto profiler = std::make_shared<Profiler>();
+  ObjectRegistry registry;
+  WFProcessor wfp(WfConfig{}, broker, &registry, "q.pending", "q.completed",
+                  "q.states", profiler);
+  auto controller = Controller::create();
+  AppManagerConfig cfg = fast_config();
+  controller->attach(cfg);
+  AdaptiveWiring wiring;
+  wiring.broker = broker;
+  wiring.events_queue = "q.ensemble.events";
+  wiring.registry = &registry;
+  wiring.wfprocessor = &wfp;
+  wiring.clock = std::make_shared<ScaledClock>(cfg.clock_scale);
+  wiring.profiler = profiler;
+  wiring.resize = [](const rts::ResizeRequest&) { return false; };
+  std::shared_ptr<Component> component = cfg.adaptive_factory(wiring);
+  constexpr int kEvents = 300;
+  for (int i = 0; i < kEvents; ++i) {
+    broker->publish("q.ensemble.events",
+                    mq::Message::json_body(
+                        "q.ensemble.events",
+                        task_event("task." + std::to_string(i), "g", "DONE")));
+  }
+  component->start();
+  component->stop();
+  EXPECT_EQ(controller->results().done_count("g"),
+            static_cast<std::size_t>(kEvents));
+  broker->close();
+}
+
 TEST(ControllerE2E, MidRunShrinkDrainsInFlightWork) {
   // Acceptance criterion: shrink the pilot two nodes while work is in
   // flight. The drain must let every task complete (DONE exactly once) and

@@ -62,12 +62,12 @@ class ExecFixture : public ::testing::Test {
     return task;
   }
 
-  /// Register a task and push its uid to the Pending queue.
+  /// Register a task and push its id to the Pending queue.
   TaskPtr submit_task(double duration = 0.5,
                       std::function<int()> fn = nullptr) {
     TaskPtr task = make_task(duration, std::move(fn));
     json::Value msg;
-    msg["uid"] = task->uid();
+    msg["ids"] = json::Array{json::Value(task->id())};
     broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
     return task;
   }
@@ -160,16 +160,16 @@ TEST_F(ExecFixture, FatalHandlerFiresWhenBudgetExhausted) {
 
 TEST_F(ExecFixture, BulkPendingMessageSubmitsAllTasks) {
   start_exec();
-  // Deliver four tasks in one {"uids": [...]} message, as the batched
+  // Deliver four tasks in one {"ids": [...]} message, as the batched
   // WFProcessor does.
   std::vector<TaskPtr> tasks;
-  json::Array uids;
+  json::Array ids;
   for (int i = 0; i < 4; ++i) {
     tasks.push_back(make_task(0.2));
-    uids.push_back(tasks.back()->uid());
+    ids.emplace_back(tasks.back()->id());
   }
   json::Value msg;
-  msg["uids"] = std::move(uids);
+  msg["ids"] = std::move(ids);
   broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
   const auto results = collect(4);
   ASSERT_EQ(results.size(), 4u);
@@ -190,13 +190,13 @@ TEST_F(ExecFixture, CompletionCoalescingPublishesResultsArrays) {
   cfg.completion_flush_max = 8;
   start_exec(cfg);
   std::vector<TaskPtr> tasks;
-  json::Array uids;
+  json::Array ids;
   for (int i = 0; i < 6; ++i) {
     tasks.push_back(make_task(0.1));
-    uids.push_back(tasks.back()->uid());
+    ids.emplace_back(tasks.back()->id());
   }
   json::Value msg;
-  msg["uids"] = std::move(uids);
+  msg["ids"] = std::move(ids);
   broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
   // Drain q.completed raw: with the flush window on, completions arrive
   // coalesced as {"results": [...]} instead of one message per task.
@@ -244,7 +244,8 @@ TEST_F(ExecFixture, DoubleStopIsIdempotent) {
 TEST_F(ExecFixture, PendingMessagesForUnknownTasksAreDropped) {
   start_exec();
   json::Value msg;
-  msg["uid"] = "task.77777x";
+  msg["ids"] = json::Array{json::Value(77777), json::Value("task.77777x"),
+                           json::Value(-1)};
   broker_->publish("q.pending", mq::Message::json_body("q.pending", msg));
   // Nothing arrives on the Done queue; a real task still works after.
   TaskPtr task = submit_task(0.2);

@@ -146,6 +146,66 @@ TEST(Resume, FullyCompletedStageIsSkippedEntirely) {
   EXPECT_EQ(stage1_runs->load(), 3);  // nothing re-ran
 }
 
+TEST(Resume, RecoveredTasksAreCommittedDoneByTheTypedPath) {
+  // A resumed run registers the same objects under fresh registry ids and
+  // commits each recovered task DONE through the typed store; the journal
+  // still renders the uids, so a second resume skips them again.
+  const std::string dir = fresh_dir();
+  auto runs = std::make_shared<std::atomic<int>>(0);
+  auto pipeline = std::make_shared<Pipeline>("p");
+  for (int s = 0; s < 2; ++s) {
+    auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+    for (int i = 0; i < 3; ++i) {
+      auto t = std::make_shared<Task>("t");
+      t->duration_s = 0.2;
+      t->function = [runs] {
+        ++*runs;
+        return 0;
+      };
+      stage->add_task(t);
+    }
+    pipeline->add_stage(stage);
+  }
+  std::string journal;
+  {
+    AppManagerConfig cfg = fast_config();
+    cfg.journal_dir = dir;
+    AppManager amgr(cfg);
+    amgr.add_pipelines({pipeline});
+    amgr.run();
+    journal = amgr.state_store()->journal_path();
+  }
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    pipeline->reset_for_resume();
+    AppManagerConfig cfg = fast_config();
+    cfg.resume_journal = journal;
+    cfg.journal_dir = fresh_dir();
+    AppManager amgr(cfg);
+    amgr.add_pipelines({pipeline});
+    amgr.run();
+    EXPECT_EQ(amgr.tasks_recovered(), 6u);
+    EXPECT_EQ(amgr.tasks_done(), 0u);
+    EXPECT_EQ(pipeline->state(), PipelineState::Done);
+    std::size_t recovery_commits = 0;
+    for (const StateTransaction& t : amgr.state_store()->history()) {
+      if (t.component != "recovery") continue;
+      ++recovery_commits;
+      EXPECT_EQ(t.kind, "task");
+      EXPECT_EQ(t.from_state, "DESCRIBED");
+      EXPECT_EQ(t.to_state, "DONE");
+    }
+    EXPECT_EQ(recovery_commits, 6u);
+    for (const StagePtr& stage : pipeline->stages()) {
+      for (const TaskPtr& t : stage->tasks()) {
+        EXPECT_NE(t->id(), kNoId);
+        EXPECT_EQ(amgr.state_store()->state_of(t->uid()), "DONE");
+      }
+    }
+    journal = amgr.state_store()->journal_path();
+  }
+  EXPECT_EQ(runs->load(), 6);  // only the first attempt executed
+}
+
 TEST(Resume, CombinedBrokerAndStateRecoveryDoesNotReexecuteDoneTasks) {
   // Combined crash recovery: a resumed run replays BOTH journals — the
   // state journal (resume_journal) that marks tasks DONE, and a crashed

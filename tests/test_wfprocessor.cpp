@@ -54,12 +54,17 @@ class WfpFixture : public ::testing::Test {
     return pipeline;
   }
 
-  /// Pop one pending-task uid (waits up to a second).
+  /// Pop one pending task (shipped by id) and return its uid (waits up to
+  /// a second).
   std::string pop_pending() {
     auto d = broker_->get("q.pending", 1.0);
     if (!d) return "";
     broker_->ack("q.pending", d->delivery_tag);
-    return d->message.body_json().get_string("uid", "");
+    const json::Value body = d->message.body_json();
+    const json::Array& ids = body.at("ids").as_array();
+    if (ids.size() != 1) return "";
+    TaskPtr task = registry_.task(static_cast<std::uint32_t>(ids[0].as_int()));
+    return task ? task->uid() : "";
   }
 
   /// Simulate the ExecManager+RTS side for one task: advance its states
@@ -67,8 +72,9 @@ class WfpFixture : public ::testing::Test {
   void complete(const std::string& uid, const std::string& outcome,
                 int exit_code = 0) {
     SyncClient sync(broker_, "fake_emgr", "q.states", "q.ack.fake");
-    sync.sync(uid, "task", "SCHEDULED", "SUBMITTING", true);
-    sync.sync(uid, "task", "SUBMITTING", "SUBMITTED", true);
+    const std::uint32_t id = registry_.id_of(uid);
+    sync.sync({id, TaskState::Scheduled, TaskState::Submitting}, true);
+    sync.sync({id, TaskState::Submitting, TaskState::Submitted}, true);
     json::Value msg;
     msg["uid"] = uid;
     msg["outcome"] = outcome;
@@ -186,15 +192,18 @@ TEST_F(WfpFixture, BatchedEnqueueShipsBulkPendingAndCoalescedResults) {
   PipelinePtr app = make_app(1, 16);
   start_wfp(cfg);
 
-  // The whole stage travels as one bulk message: {"uids": [...]}.
+  // The whole stage travels as one bulk message: {"ids": [...]}.
   auto d = broker_->get("q.pending", 1.0);
   ASSERT_TRUE(d);
   broker_->ack("q.pending", d->delivery_tag);
   const json::Value msg = d->message.body_json();
-  ASSERT_TRUE(msg.contains("uids"));
+  ASSERT_TRUE(msg.contains("ids"));
+  std::vector<std::uint32_t> ids;
   std::vector<std::string> uids;
-  for (const json::Value& u : msg.at("uids").as_array()) {
-    uids.push_back(u.as_string());
+  for (const json::Value& id : msg.at("ids").as_array()) {
+    ids.push_back(static_cast<std::uint32_t>(id.as_int()));
+    ASSERT_NE(registry_.task(ids.back()), nullptr);
+    uids.push_back(registry_.task(ids.back())->uid());
   }
   ASSERT_EQ(uids.size(), 16u);
   EXPECT_FALSE(broker_->get("q.pending", 0.0).has_value());
@@ -205,13 +214,10 @@ TEST_F(WfpFixture, BatchedEnqueueShipsBulkPendingAndCoalescedResults) {
   // Emgr side: one vectored sync per transition kind, then a single
   // coalesced completion message covering all 16 tasks.
   SyncClient sync(broker_, "fake_emgr", "q.states", "q.ack.fake");
-  std::vector<Transition> submitting, submitted;
-  for (const std::string& uid : uids) {
-    submitting.push_back({uid, "task", "SCHEDULED", "SUBMITTING"});
-    submitted.push_back({uid, "task", "SUBMITTING", "SUBMITTED"});
-  }
-  EXPECT_TRUE(sync.sync_batch(submitting, true));
-  EXPECT_TRUE(sync.sync_batch(submitted, true));
+  EXPECT_TRUE(
+      sync.sync_batch(ids, TaskState::Scheduled, TaskState::Submitting, true));
+  EXPECT_TRUE(
+      sync.sync_batch(ids, TaskState::Submitting, TaskState::Submitted, true));
   json::Array results;
   for (const std::string& uid : uids) {
     json::Value r;

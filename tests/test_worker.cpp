@@ -52,13 +52,9 @@ class WorkerRuntimeFixture : public ::testing::Test {
           rts::LocalRtsConfig{.workers = rts_workers}, clock_, profiler_);
     };
     // The daemon's resolver: nothing to resolve, units must arrive inline.
-    worker::UnitResolver resolver =
-        [](const std::string&) -> std::optional<rts::TaskUnit> {
-      return std::nullopt;
-    };
     runtime_ = std::make_unique<worker::WorkerRuntime>(
-        "worker_runtime", cfg, broker_, resolver, "q.pending", "q.completed",
-        "q.states", factory, profiler_);
+        "worker_runtime", cfg, broker_, worker::UnitResolver{}, "q.pending",
+        "q.completed", "q.states", factory, profiler_);
     runtime_->acquire_resources();
     runtime_->start();
   }
@@ -318,10 +314,12 @@ TEST(WorkerDedup, DuplicateResultResolvesTaskExactlyOnce) {
   const json::Array& units = body.at("units").as_array();
   ASSERT_EQ(units.size(), 1u);
   EXPECT_EQ(units[0].get_string("uid", ""), task->uid());
+  // Units carry the registry id, so the worker syncs by id.
+  EXPECT_EQ(units[0].get_int("id", -1), task->id());
 
   SyncClient sync(broker, "fake_worker", "q.states", "q.ack.fake");
-  sync.sync(task->uid(), "task", "SCHEDULED", "SUBMITTING", true);
-  sync.sync(task->uid(), "task", "SUBMITTING", "SUBMITTED", true);
+  sync.sync({task->id(), TaskState::Scheduled, TaskState::Submitting}, true);
+  sync.sync({task->id(), TaskState::Submitting, TaskState::Submitted}, true);
   json::Value result;
   result["uid"] = task->uid();
   result["outcome"] = "DONE";
