@@ -4,13 +4,17 @@
 // net::RemoteBroker clients, and pushes messages through publish -> get ->
 // ack cycles four ways:
 //
-//   unbatched:       one frame roundtrip per message per op (binary codec)
-//   text batched:    publish_batch / get_batch / ack_batch with the JSON
-//                    text codec forced (binary_codec=false) — the PR5-era
-//                    wire format, kept as the in-run baseline
-//   binary batched:  the same batched cycle over the negotiated typed-value
-//                    codec; Message::body() is never rendered on this path,
-//                    asserted via mq::body_render_count()
+//   unbatched:       one frame roundtrip per message per op
+//   text batched:    publish_batch / get_batch / ack_batch of messages the
+//                    bench renders to JSON text itself before sending
+//                    (set_body(payload()->dump())): they cross the wire as
+//                    raw bytes and every consumer parses them — the
+//                    render/parse cost a JSON text codec pays, kept as the
+//                    in-run baseline on its own connection
+//   binary batched:  the same batched cycle with structured payloads, which
+//                    cross as typed values; Message::body() is never
+//                    rendered on this path, asserted via
+//                    mq::body_render_count()
 //   pipelined:       binary batched with a producer thread publishing while
 //                    the main thread drains get+ack — publish frames queue
 //                    behind the server's scatter-gather writer instead of
@@ -60,9 +64,9 @@ using namespace entk;
 // A structured payload shaped like a task descriptor with telemetry: a few
 // scalar fields plus a block of double samples (timestamps, durations)
 // sized by --payload-bytes (8 wire bytes per element). Structured numeric
-// content is where the codecs differ — JSON pays a double->text render and
-// strtod parse on every hop, the typed-value codec moves the same numbers
-// as fixed-width words.
+// content is where the two forms differ — JSON text pays a double->text
+// render and strtod parse, the typed-value codec moves the same numbers as
+// fixed-width words.
 mq::Message make_message(const std::string& queue, int i, int data_doubles) {
   json::Value payload;
   payload["i"] = static_cast<std::int64_t>(i);
@@ -76,8 +80,13 @@ mq::Message make_message(const std::string& queue, int i, int data_doubles) {
   return mq::Message::json_body(queue, std::move(payload));
 }
 
-// What every real consumer does first: read the descriptor. On the text
-// codec this is the JSON parse; on the binary codec it is the one lazy
+// The text baseline: the payload rendered to JSON bytes at the send
+// boundary, where a JSON text codec would render it. The bytes cross the
+// wire verbatim (payload kind 1) and consume() parses them on the far side.
+void render_as_text(mq::Message& m) { m.set_body(m.payload()->dump()); }
+
+// What every real consumer does first: read the descriptor. For a text
+// message this is the JSON parse; for a structured one it is the one lazy
 // TLV decode (payload() is an opaque call with memoizing side effects, so
 // the access cannot be optimized out).
 void consume(const mq::Delivery& d) {
@@ -94,11 +103,13 @@ struct Sample {
 /// One full cycle: publish all messages, then drain them with get+ack,
 /// reading each delivered descriptor.
 Sample run_cycle(net::RemoteBroker& client, const std::string& queue,
-                 int messages, int batch, int data_doubles) {
+                 int messages, int batch, int data_doubles, bool text) {
   const auto t0 = std::chrono::steady_clock::now();
   if (batch <= 1) {
     for (int i = 0; i < messages; ++i) {
-      client.publish(queue, make_message(queue, i, data_doubles));
+      mq::Message m = make_message(queue, i, data_doubles);
+      if (text) render_as_text(m);
+      client.publish(queue, std::move(m));
     }
     int drained = 0;
     while (drained < messages) {
@@ -114,6 +125,9 @@ Sample run_cycle(net::RemoteBroker& client, const std::string& queue,
       chunk.reserve(static_cast<std::size_t>(batch));
       for (int j = i; j < i + batch && j < messages; ++j) {
         chunk.push_back(make_message(queue, j, data_doubles));
+      }
+      if (text) {
+        for (mq::Message& m : chunk) render_as_text(m);
       }
       client.publish_batch(queue, std::move(chunk));
     }
@@ -211,29 +225,25 @@ int main(int argc, char** argv) {
   net::BrokerServer server(broker, {}, std::make_shared<Profiler>());
   server.start();
 
-  // Two clients against the same server: the default one negotiates the
-  // typed-value codec, the baseline one pins the PR5 text format.
   net::RemoteBrokerConfig client_cfg;
   client_cfg.endpoint = server.endpoint();
   net::RemoteBroker client(client_cfg);
   client.declare_queue(queue, {});
-
-  net::RemoteBrokerConfig text_cfg = client_cfg;
-  text_cfg.binary_codec = false;
-  net::RemoteBroker text_client(text_cfg);
+  net::RemoteBroker text_client(client_cfg);
 
   std::printf("loopback broker at %s: %d messages x %d B payload, "
-              "batch=%d, best of %ld (binary codec: %s)\n",
-              server.endpoint().c_str(), messages, payload_bytes, batch, reps,
-              client.negotiated_codec() == net::kCodecBinary ? "on" : "off");
+              "batch=%d, best of %ld\n",
+              server.endpoint().c_str(), messages, payload_bytes, batch, reps);
 
   Sample unbatched, text_batched, batched, pipelined;
   std::uint64_t binary_renders = 0;
   for (long r = 0; r < reps; ++r) {  // best-of-R each mode, paired per rep
-    const Sample t = run_cycle(text_client, queue, messages, batch, data_doubles);
+    const Sample t =
+        run_cycle(text_client, queue, messages, batch, data_doubles, true);
     const std::uint64_t renders_before = mq::body_render_count();
-    const Sample u = run_cycle(client, queue, messages, 1, data_doubles);
-    const Sample b = run_cycle(client, queue, messages, batch, data_doubles);
+    const Sample u = run_cycle(client, queue, messages, 1, data_doubles, false);
+    const Sample b =
+        run_cycle(client, queue, messages, batch, data_doubles, false);
     const Sample p = run_pipelined(client, queue, messages, batch, data_doubles);
     binary_renders += mq::body_render_count() - renders_before;
     if (t.msgs_per_s > text_batched.msgs_per_s) text_batched = t;
@@ -245,8 +255,8 @@ int main(int argc, char** argv) {
   const double codec_speedup = batched.msgs_per_s / text_batched.msgs_per_s;
   const double pipeline_speedup =
       pipelined.msgs_per_s / text_batched.msgs_per_s;
-  // The new-transport gate compares the best binary mode against the
-  // text-codec baseline measured in the same run (machine-independent).
+  // The codec gate compares the best binary mode against the text
+  // baseline measured in the same run (machine-independent).
   const double binary_speedup = std::max(codec_speedup, pipeline_speedup);
 
   std::printf("%16s %14s %14s %9s\n", "cycle", "msgs/s", "elapsed (s)",

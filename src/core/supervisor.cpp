@@ -17,9 +17,10 @@ void Supervisor::supervise(Component* component) {
     entries_.push_back(Entry{component});
   }
   // The listener runs on the failing component's dying worker thread: only
-  // kick the probe loop, never restart inline.
+  // kick the probe loop, never restart inline. It captures the kick state,
+  // not `this`, because that thread can outlive the supervisor.
   component->set_fault_listener(
-      [this](Component&, const std::string&) { kick(); });
+      [kick = kick_](Component&, const std::string&) { kick->kick(); });
 }
 
 void Supervisor::watch_broker(mq::BrokerHandlePtr broker) {
@@ -51,25 +52,25 @@ void Supervisor::on_start() {
   add_worker("probe", [this] { probe_loop(); });
 }
 
-void Supervisor::on_stop_requested() { kick_cv_.notify_all(); }
+void Supervisor::on_stop_requested() { kick_->kick(); }
 
-void Supervisor::kick() {
+void Supervisor::KickState::kick() {
   {
-    std::lock_guard<std::mutex> lock(kick_mutex_);
-    kicked_ = true;
+    std::lock_guard<std::mutex> lock(mutex);
+    kicked = true;
   }
-  kick_cv_.notify_all();
+  cv.notify_all();
 }
 
 void Supervisor::probe_loop() {
   while (!stop_requested()) {
     beat();
     {
-      std::unique_lock<std::mutex> lock(kick_mutex_);
-      kick_cv_.wait_for(
+      std::unique_lock<std::mutex> lock(kick_->mutex);
+      kick_->cv.wait_for(
           lock, std::chrono::duration<double>(config_.heartbeat_interval_s),
-          [this] { return kicked_ || stop_requested(); });
-      kicked_ = false;
+          [this] { return kick_->kicked || stop_requested(); });
+      kick_->kicked = false;
     }
     if (stop_requested()) break;
     // Collect actions under the lock, act outside it: Component::start()

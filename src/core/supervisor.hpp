@@ -21,6 +21,7 @@
 
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -65,8 +66,18 @@ class Supervisor : public Component {
     bool given_up = false;
   };
 
+  /// Wake-up flag of the probe loop. Shared with every fault listener: a
+  /// supervised component's dying worker may kick after this supervisor
+  /// is destroyed, and must then find the state still alive.
+  struct KickState {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool kicked = false;
+
+    void kick();
+  };
+
   void probe_loop();
-  void kick();
 
   const SupervisionConfig config_;
 
@@ -77,9 +88,7 @@ class Supervisor : public Component {
   std::vector<Entry> entries_;
   std::function<void(const std::string&, const std::string&)> fatal_handler_;
 
-  std::mutex kick_mutex_;
-  std::condition_variable kick_cv_;
-  bool kicked_ = false;
+  const std::shared_ptr<KickState> kick_ = std::make_shared<KickState>();
 };
 
 }  // namespace entk

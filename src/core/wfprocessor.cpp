@@ -54,7 +54,7 @@ void WFProcessor::on_start() {
 
 void WFProcessor::on_stop_requested() {
   work_cv_.notify_all();
-  done_cv_.notify_all();
+  notify_done();
 }
 
 void WFProcessor::on_stopped() { profiler_->record("wfprocessor", "wfp_stop"); }
@@ -80,6 +80,14 @@ void WFProcessor::wait_completion() {
   done_cv_.wait(lock, [this] { return aborted_ || all_pipelines_final(); });
 }
 
+void WFProcessor::notify_done() {
+  // Pipeline states change outside done_mutex_, so taking it here orders
+  // this notify after any waiter's predicate check: the waiter is either
+  // already blocked in wait() or will see the new state when it checks.
+  { std::lock_guard<std::mutex> lock(done_mutex_); }
+  done_cv_.notify_all();
+}
+
 void WFProcessor::abort(const std::string& reason) {
   ENTK_ERROR("wfprocessor") << "aborting workflow: " << reason;
   SyncClient sync(broker_, "wfp.abort", states_queue_, "q.ack.wfp.abort");
@@ -96,7 +104,7 @@ void WFProcessor::abort(const std::string& reason) {
     std::lock_guard<std::mutex> lock(done_mutex_);
     aborted_ = true;
   }
-  done_cv_.notify_all();
+  notify_done();
 }
 
 void WFProcessor::cancel() {
@@ -117,7 +125,7 @@ void WFProcessor::cancel() {
     }
     sync.sync({p->id(), p->state(), PipelineState::Canceled}, true);
   }
-  done_cv_.notify_all();
+  notify_done();
 }
 
 // ------------------------------------------------------------- Enqueue --
@@ -200,7 +208,7 @@ void WFProcessor::complete_pipeline(const PipelinePtr& pipeline,
             true);
   profiler_->record("wfprocessor", "pipeline_done", pipeline->uid());
   emit_event(outcome_event("pipeline", pipeline->uid(), pipeline->name, "DONE"));
-  done_cv_.notify_all();
+  notify_done();
 }
 
 void WFProcessor::schedule_stage(const PipelinePtr& pipeline,
@@ -470,7 +478,7 @@ void WFProcessor::finish_stage(const PipelinePtr& pipeline,
     emit_event(std::move(stage_ev));
     emit_event(
         outcome_event("pipeline", pipeline->uid(), pipeline->name, "FAILED"));
-    done_cv_.notify_all();
+    notify_done();
     return;
   }
 

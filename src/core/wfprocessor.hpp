@@ -159,7 +159,9 @@ class WFProcessor : public Component {
   std::deque<std::uint32_t> retry_ids_;
   bool work_available_ = true;
 
-  // Completion signaling.
+  // Completion signaling. Every wake-up of wait_completion() goes through
+  // notify_done().
+  void notify_done();
   mutable std::mutex done_mutex_;
   std::condition_variable done_cv_;
   bool aborted_ = false;

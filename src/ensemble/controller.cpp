@@ -22,13 +22,13 @@ json::Value Decision::to_json() const {
 Controller::Controller(ControllerConfig config)
     : Component(config.name, std::make_shared<Profiler>()),
       config_(std::move(config)) {
-  if (!config_.journal_path.empty()) {
-    journal_.open(config_.journal_path, std::ios::app);
-    if (!journal_) {
-      throw EnTKError(config_.name + ": cannot open decision journal " +
-                      config_.journal_path);
-    }
-  }
+  open_journal();  // fail fast on an unwritable path
+}
+
+void Controller::open_journal() {
+  if (config_.journal_path.empty() || journal_) return;
+  journal_ = std::make_unique<mq::JournalWriter>(config_.journal_path,
+                                                 mq::JournalConfig{});
 }
 
 Controller::~Controller() = default;
@@ -113,6 +113,7 @@ void Controller::on_start() {
     events_metric_ = &metrics()->counter("ensemble.events");
     fires_metric_ = &metrics()->counter("ensemble.rule_fires");
   }
+  open_journal();
   add_worker("rules", [this] { rules_loop(); });
 }
 
@@ -157,6 +158,12 @@ void Controller::rules_loop() {
     // Timer tick: triggers that do not need an event advance here.
     evaluate(nullptr);
   }
+  // Clean stop: every decision reaches the disk before stop() returns. A
+  // sticky write error throws here and fails the controller.
+  if (journal_) {
+    journal_->close();
+    journal_.reset();
+  }
 }
 
 void Controller::evaluate(const Event* event) {
@@ -195,18 +202,19 @@ void Controller::fire(Rule& rule, const Event* event) {
   } catch (const std::exception& e) {
     decision.actions.push_back("error: " + std::string(e.what()));
     active_ = nullptr;
-    if (journal_.is_open()) {
-      journal_ << decision.to_json().dump() << "\n" << std::flush;
-    }
-    decisions_.push_back(std::move(decision));
+    journal(std::move(decision));
     throw EnTKError(name() + ": rule " + rule.name +
                     " action threw: " + e.what());
   }
   active_ = nullptr;
-  if (journal_.is_open()) {
-    journal_ << decision.to_json().dump() << "\n" << std::flush;
-  }
+  journal(std::move(decision));
+}
+
+void Controller::journal(Decision decision) {
   decisions_.push_back(std::move(decision));
+  // Throws the writer's sticky MqError after a failed flush: the fault
+  // surfaces through the rules worker instead of being dropped.
+  if (journal_) journal_->append(decisions_.back().to_json().dump());
 }
 
 void Controller::record_op(const std::string& description) {

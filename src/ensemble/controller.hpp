@@ -7,7 +7,10 @@
 // iteration with no event so timer triggers advance. Actions run through
 // the Ops interface the controller itself implements; every firing is
 // journaled as a Decision (in memory, and as JSONL when configured), so an
-// adaptive run can be replayed and debugged from its journal alone.
+// adaptive run can be replayed and debugged from its journal alone. The
+// JSONL goes through the same group-commit mq::JournalWriter as the broker
+// and state journals: the controller closes it when it stops, and a write
+// error (full disk) surfaces as a controller fault.
 //
 // The controller is an ordinary supervised Component: a throwing rule or
 // generator becomes a captured fault, the supervisor restarts the
@@ -22,7 +25,6 @@
 // results(), params()).
 #pragma once
 
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,6 +34,7 @@
 #include "src/ensemble/generator.hpp"
 #include "src/ensemble/result_view.hpp"
 #include "src/ensemble/rule.hpp"
+#include "src/mq/journal.hpp"
 
 namespace entk::ensemble {
 
@@ -100,10 +103,14 @@ class Controller : public Component,
 
  private:
   void wire(const AdaptiveWiring& wiring);
+  /// Open the decision journal when configured and not open yet.
+  void open_journal();
   void rules_loop();
   /// Evaluate the rule set; `event` is null on a timer tick.
   void evaluate(const Event* event);
   void fire(Rule& rule, const Event* event);
+  /// Keep `decision` in memory and append it to the journal (when on).
+  void journal(Decision decision);
   void record_op(const std::string& description);
   void require_wired(const char* op) const;
 
@@ -122,7 +129,9 @@ class Controller : public Component,
   json::Value params_;
   std::vector<Decision> decisions_;
   Decision* active_ = nullptr;  ///< decision being built during fire()
-  std::ofstream journal_;
+  /// Open from construction (or the next start() after a clean stop)
+  /// until the rules worker closes it on a clean stop; null when off.
+  std::unique_ptr<mq::JournalWriter> journal_;
 
   ResultView results_;
 

@@ -33,7 +33,13 @@ void LocalRts::on_start() {
   }
 }
 
-void LocalRts::on_stop_requested() { cv_.notify_all(); }
+void LocalRts::on_stop_requested() {
+  // The stop flag is set outside mutex_; taking it before notifying keeps
+  // a worker between its predicate check and its untimed wait from
+  // missing this wake-up (kill() would then join it forever).
+  { std::lock_guard<std::mutex> lock(mutex_); }
+  cv_.notify_all();
+}
 
 void LocalRts::set_completion_callback(
     std::function<void(const UnitResult&)> callback) {

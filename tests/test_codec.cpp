@@ -251,7 +251,7 @@ TEST(BinaryMessage, TlvBackedMessageRelaysVerbatim) {
 TEST(BinaryMessage, TlvBackedMessageRendersBodyOnDemand) {
   mq::Message decoded = decode_message(encode_message(structured_message()));
   const std::uint64_t renders_before = mq::body_render_count();
-  // A byte boundary that genuinely needs JSON text (journal, text peer)
+  // A byte boundary that genuinely needs JSON text (the durable journal)
   // pays exactly one decode + one render.
   const std::string& body = decoded.body();
   EXPECT_EQ(mq::body_render_count(), renders_before + 1);

@@ -423,6 +423,40 @@ TEST(ControllerE2E, DecisionJournalIsReplayableJsonl) {
   std::filesystem::remove(journal);
 }
 
+TEST(ControllerE2E, DecisionJournalWriteErrorIsAControllerFault) {
+  // Writes to /dev/full fail with ENOSPC at flush time: the journal
+  // writer's sticky error must fail the controller, not vanish.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  auto pipeline = std::make_shared<Pipeline>("full-disk");
+  auto stage = std::make_shared<Stage>("work");
+  stage->add_task(make_task(
+      "only", "g", [](json::Value& v) { v["x"] = 1.0; return 0; }, 1.0));
+  pipeline->add_stage(stage);
+  pipeline->hold_open();
+
+  auto controller = Controller::create({.journal_path = "/dev/full"});
+  controller->add_rule({
+      .name = "release",
+      .when = trigger::stage_done("work"),
+      .then = action::finish(pipeline->uid()),
+      .max_fires = 1,
+  });
+
+  AppManagerConfig cfg = fast_config();
+  controller->attach(cfg);
+  AppManager amgr(cfg);
+  amgr.add_pipelines({pipeline});
+  amgr.run();
+
+  EXPECT_EQ(pipeline->state(), PipelineState::Done);
+  EXPECT_EQ(controller->decision_count(), 1u);  // still kept in memory
+  EXPECT_EQ(controller->state(), ComponentState::Failed);
+  EXPECT_NE(controller->fault_reason().find("journal: short write to "
+                                            "/dev/full"),
+            std::string::npos)
+      << controller->fault_reason();
+}
+
 // ------------------------------------------- post_exec fault contract ---
 
 TEST(PostExecFault, ThrowingHookIsCapturedAndWorkflowCompletes) {

@@ -587,17 +587,6 @@ TEST(Message, EmptyMessageBodyEmptyPayloadThrows) {
   EXPECT_THROW(m.payload(), json::ParseError);
 }
 
-TEST(Message, EagerSerializationKnobRestoresSeedBehavior) {
-  set_eager_serialization(true);
-  json::Value payload;
-  payload["x"] = 1;
-  Message m = Message::json_body("route", std::move(payload));
-  set_eager_serialization(false);
-  EXPECT_TRUE(m.has_rendered_body());   // rendered at construction
-  EXPECT_FALSE(m.has_payload());        // consumers must re-parse
-  EXPECT_EQ(m.payload()->at("x").as_int(), 1);
-}
-
 TEST(Broker, DeliveryAvoidsSerializationEndToEnd) {
   auto metrics = std::make_shared<obs::MetricsRegistry>();
   Broker b;

@@ -16,6 +16,7 @@
 #include "src/net/broker_server.hpp"
 #include "src/net/frame.hpp"
 #include "src/net/remote_broker.hpp"
+#include "tests/raw_conn.hpp"
 
 namespace entk {
 namespace {
@@ -132,9 +133,9 @@ TEST(MessageCodec, StructuredMessageRoundTripsThroughBytes) {
   msg.seq = 99;
 
   std::string wire;
-  net::append_message(wire, msg);
+  net::append_message_binary(wire, msg);
   std::size_t offset = 0;
-  const mq::Message decoded = net::decode_message(wire, offset);
+  const mq::Message decoded = net::decode_message_binary(wire, offset);
   EXPECT_EQ(offset, wire.size());
   EXPECT_EQ(decoded.seq, 99u);
   EXPECT_EQ(decoded.headers.get_string("reply_to", ""), "q.ack.emgr");
@@ -147,9 +148,9 @@ TEST(MessageCodec, NullHeadersAndEmptyBodySurvive) {
   msg.routing_key = "q.x";
   msg.seq = 1;
   std::string wire;
-  net::append_message(wire, msg);
+  net::append_message_binary(wire, msg);
   std::size_t offset = 0;
-  const mq::Message decoded = net::decode_message(wire, offset);
+  const mq::Message decoded = net::decode_message_binary(wire, offset);
   EXPECT_TRUE(decoded.headers.is_null());
   EXPECT_EQ(decoded.seq, 1u);
   EXPECT_EQ(decoded.body(), "");
@@ -223,11 +224,21 @@ TEST_F(LoopbackTest, BatchOpsMoveWholeChunks) {
   EXPECT_TRUE(client_->get_batch("q.t", 10, 0.0).empty());
 }
 
-TEST_F(LoopbackTest, NegotiatesBinaryCodecByDefault) {
-  // The constructor's hello exchange completes before any op is answered,
-  // so by the time a call returns the codec is settled.
-  client_->has_queue("q.t");
-  EXPECT_EQ(client_->negotiated_codec(), net::kCodecBinary);
+TEST_F(LoopbackTest, FreshConnectionIsTypedFromItsFirstFrame) {
+  // No handshake precedes the typed-value codec: a brand-new client's very
+  // first operation is a publish, and nothing on the path renders JSON.
+  net::RemoteBrokerConfig cfg;
+  cfg.endpoint = server_->endpoint();
+  cfg.retry_deadline_s = 10.0;
+  const std::uint64_t renders_before = mq::body_render_count();
+  net::RemoteBroker fresh(cfg);
+  fresh.publish("q.t", text_message("q.t", "first"));
+  auto d = fresh.get("q.t", 1.0);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(text_of(*d), "first");
+  EXPECT_TRUE(fresh.ack("q.t", d->delivery_tag));
+  EXPECT_EQ(mq::body_render_count(), renders_before);
+  fresh.close();
 }
 
 TEST_F(LoopbackTest, BinaryPathNeverRendersJsonText) {
@@ -247,48 +258,6 @@ TEST_F(LoopbackTest, BinaryPathNeverRendersJsonText) {
   EXPECT_EQ(mq::body_render_count(), renders_before);
 }
 
-TEST_F(LoopbackTest, TextClientInteropsWithBinaryServer) {
-  // A client pinned to the PR5 text codec (an old peer) against the new
-  // server: negotiation settles on text and everything still flows.
-  net::RemoteBrokerConfig cfg;
-  cfg.endpoint = server_->endpoint();
-  cfg.retry_deadline_s = 10.0;
-  cfg.binary_codec = false;
-  net::RemoteBroker old_peer(cfg);
-  old_peer.has_queue("q.t");
-  EXPECT_EQ(old_peer.negotiated_codec(), net::kCodecText);
-  old_peer.publish("q.t", text_message("q.t", "from-old"));
-  auto d = old_peer.get("q.t", 1.0);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(text_of(*d), "from-old");
-  EXPECT_TRUE(old_peer.ack("q.t", d->delivery_tag));
-  old_peer.close();
-}
-
-TEST_F(LoopbackTest, MixedCodecClientsShareAQueue) {
-  net::RemoteBrokerConfig cfg;
-  cfg.endpoint = server_->endpoint();
-  cfg.retry_deadline_s = 10.0;
-  cfg.binary_codec = false;
-  net::RemoteBroker text_peer(cfg);
-
-  // binary -> text: the server renders the structured payload to JSON
-  // text at the old peer's boundary.
-  client_->publish("q.t", text_message("q.t", "b2t"));
-  auto d1 = text_peer.get("q.t", 1.0);
-  ASSERT_TRUE(d1.has_value());
-  EXPECT_EQ(text_of(*d1), "b2t");
-  EXPECT_TRUE(text_peer.ack("q.t", d1->delivery_tag));
-
-  // text -> binary: bytes in, typed bytes out.
-  text_peer.publish("q.t", text_message("q.t", "t2b"));
-  auto d2 = client_->get("q.t", 1.0);
-  ASSERT_TRUE(d2.has_value());
-  EXPECT_EQ(text_of(*d2), "t2b");
-  EXPECT_TRUE(client_->ack("q.t", d2->delivery_tag));
-  text_peer.close();
-}
-
 TEST_F(LoopbackTest, HasQueueReflectsDeclares) {
   EXPECT_TRUE(client_->has_queue("q.t"));
   EXPECT_FALSE(client_->has_queue("q.never_declared"));
@@ -302,6 +271,55 @@ TEST_F(LoopbackTest, PublishToUnknownQueueRaisesMqError) {
   // immediately, not after the retry deadline.
   EXPECT_THROW(client_->publish("q.missing", text_message("q.missing", "x")),
                MqError);
+}
+
+TEST_F(LoopbackTest, MalformedPublishBodyIsAnErrorNotAServerFault) {
+  // A publish whose message bytes are not the typed-value encoding (here
+  // the old JSON text form with headers "{not json") fails that one
+  // request with kError; the server keeps serving every connection.
+  test::RawConn raw(server_->endpoint());
+  net::Frame publish;
+  publish.op = net::Op::kPublish;
+  publish.corr = 41;
+  publish.queue = "q.t";
+  net::put_u32(publish.body, 9);
+  publish.body += "{not json";
+  net::put_u64(publish.body, 0);
+  net::put_u32(publish.body, 0);
+  raw.send(publish);
+  const auto resp = raw.recv_frame();
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->op, net::Op::kError);
+  EXPECT_EQ(resp->corr, 41u);
+  EXPECT_EQ(server_->state(), ComponentState::Running);
+
+  client_->publish("q.t", text_message("q.t", "after"));
+  auto d = client_->get("q.t", 1.0);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(text_of(*d), "after");
+  EXPECT_TRUE(client_->ack("q.t", d->delivery_tag));
+}
+
+TEST_F(LoopbackTest, LyingBatchCountsAreErrorsNotAllocations) {
+  // A batch count the frame body cannot possibly hold is refused before
+  // anything is reserved for it — the reserve would otherwise throw
+  // std::bad_alloc past the server's error path.
+  test::RawConn raw(server_->endpoint());
+  std::uint64_t corr = 50;
+  for (const net::Op op : {net::Op::kPublishBatch, net::Op::kAckBatch}) {
+    net::Frame batch;
+    batch.op = op;
+    batch.corr = ++corr;
+    batch.queue = "q.t";
+    net::put_u32(batch.body, 0xffffffffu);
+    raw.send(batch);
+    const auto resp = raw.recv_frame();
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->op, net::Op::kError);
+    EXPECT_EQ(resp->corr, corr);
+  }
+  EXPECT_EQ(server_->state(), ComponentState::Running);
+  EXPECT_TRUE(client_->has_queue("q.t"));
 }
 
 TEST_F(LoopbackTest, EmptyGetHonorsTimeout) {

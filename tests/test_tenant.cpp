@@ -1,12 +1,10 @@
 // Multi-tenant broker tests: queue namespacing, tenant registry and token
 // bucket semantics, hello-handshake edge cases (old clients, invalid ids,
-// rebinds, codec+tenant combined), per-tenant quota backpressure
+// rebinds, tenant-bound typed payloads), per-tenant quota backpressure
 // (kErrQuota -> bounded retry -> QuotaError), cross-tenant isolation of
 // identically-named queues, the connection accept cap, fair-scheduling
 // smoke, and per-tenant journal partition recovery.
 #include <gtest/gtest.h>
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -22,6 +20,7 @@
 #include "src/net/frame.hpp"
 #include "src/net/remote_broker.hpp"
 #include "src/net/socket.hpp"
+#include "tests/raw_conn.hpp"
 
 namespace entk {
 namespace {
@@ -305,15 +304,12 @@ TEST_F(TenantLoopbackTest, DepthSnapshotIsTenantScoped) {
 // ----------------------------------------------------- hello edge cases
 
 TEST_F(TenantLoopbackTest, OldClientWithoutHelloLandsInDefaultTenant) {
-  // binary_codec off + no tenant = the client never sends kHello at all
-  // (byte-identical to the PR 5 wire behavior).
+  // No tenant configured = the client never sends kHello at all.
   net::RemoteBrokerConfig cfg;
   cfg.endpoint = server_->endpoint();
-  cfg.binary_codec = false;
   net::RemoteBroker old_peer(cfg);
   old_peer.declare_queue("q.legacy", {});
   old_peer.publish("q.legacy", text_message("q.legacy", "old"));
-  EXPECT_EQ(old_peer.negotiated_codec(), net::kCodecText);
   // Landed on the unqualified (default-tenant) physical queue.
   EXPECT_TRUE(broker_->has_queue("q.legacy"));
   auto d = old_peer.get("q.legacy", 1.0);
@@ -323,17 +319,17 @@ TEST_F(TenantLoopbackTest, OldClientWithoutHelloLandsInDefaultTenant) {
 }
 
 TEST_F(TenantLoopbackTest, BinaryCodecAndTenantHelloCombine) {
-  // One kHello carries both negotiations: the codec offer in arg, the
-  // tenant id in the body.
+  // A tenant-bound connection moves structured payloads as typed values
+  // from its first frame: no JSON text is rendered anywhere on the path.
   auto client = Client("combo");
+  const std::uint64_t renders_before = mq::body_render_count();
   client->declare_queue("q.c", {});
-  client->has_queue("q.c");  // forces a settled round trip
-  EXPECT_EQ(client->negotiated_codec(), net::kCodecBinary);
   client->publish("q.c", text_message("q.c", "x"));
   EXPECT_TRUE(broker_->has_queue("t.combo/q.c"));
   auto d = client->get("q.c", 1.0);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(text_of(*d), "x");
+  EXPECT_EQ(mq::body_render_count(), renders_before);
   client->close();
 }
 
@@ -366,53 +362,12 @@ TEST_F(TenantLoopbackTest, UnknownTenantRejectedWhenAutoRegisterOff) {
   ghost->close();
 }
 
-// Raw-frame client for handshake sequences the RemoteBroker never emits.
-class RawConn {
- public:
-  explicit RawConn(const std::string& endpoint) {
-    std::string host;
-    std::uint16_t port = 0;
-    EXPECT_TRUE(net::split_endpoint(endpoint, host, port));
-    fd_ = net::connect_tcp(host, port, 2.0);
-    EXPECT_GE(fd_, 0);
-  }
-  ~RawConn() {
-    if (fd_ >= 0) net::close_fd(fd_);
-  }
-
-  void send(const net::Frame& frame) {
-    const std::string wire = net::encode_frame(frame);
-    ASSERT_EQ(::send(fd_, wire.data(), wire.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(wire.size()));
-  }
-
-  std::optional<net::Frame> recv_frame(double timeout_s = 2.0) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(timeout_s);
-    while (true) {
-      std::optional<net::Frame> frame = net::decode_frame(buf_, off_);
-      if (frame.has_value()) return frame;
-      if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
-      pollfd pfd{fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 50) <= 0) continue;
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return std::nullopt;
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buf_;
-  std::size_t off_ = 0;
-};
+using test::RawConn;
 
 net::Frame hello_frame(const std::string& tenant, std::uint64_t corr) {
   net::Frame f;
   f.op = net::Op::kHello;
   f.corr = corr;
-  f.arg = net::kCodecBinary;
   f.body = tenant;
   return f;
 }
@@ -487,13 +442,12 @@ TEST_F(TenantLoopbackTest, QualifiedQueueNamesRejectedOnTheWire) {
   victim->declare_queue("q.pending", {});
   victim->publish("q.pending", text_message("q.pending", "secret"));
 
-  // A legacy connection that never sends kHello (pre-tenancy wire
-  // behavior, conn.tenant unset) gets kError on every op naming the
-  // qualified queue — it can neither steal nor inject nor evade the
-  // victim's depth quota by publishing into its namespace directly.
+  // A tenant-less connection, which never sends kHello, gets kError on
+  // every op naming the qualified queue — it can neither steal nor inject
+  // nor evade the victim's depth quota by publishing into its namespace
+  // directly.
   net::RemoteBrokerConfig snoop_cfg;
   snoop_cfg.endpoint = server_->endpoint();
-  snoop_cfg.binary_codec = false;
   net::RemoteBroker snoop(snoop_cfg);
   EXPECT_THROW(snoop.get("t.victim/q.pending", 0.0), MqError);
   EXPECT_THROW(
