@@ -39,7 +39,7 @@ ConfigResult run_config(int n, long total_tasks, long latency_us) {
   using namespace entk;
   auto broker = std::make_shared<mq::Broker>("prototype");
   for (int q = 0; q < n; ++q) {
-    broker->declare_queue("q" + std::to_string(q));
+    broker->declare_queue('q' + std::to_string(q));
   }
 
   // Pre-serialize the task descriptions (the prototype instantiates its
@@ -65,7 +65,7 @@ ConfigResult run_config(int n, long total_tasks, long latency_us) {
   std::atomic<int> producers_left{n};
   for (int p = 0; p < n; ++p) {
     threads.emplace_back([&, p] {
-      const std::string queue = "q" + std::to_string(p % n);
+      const std::string queue = 'q' + std::to_string(p % n);
       const long lo = total_tasks * p / n;
       const long hi = total_tasks * (p + 1) / n;
       for (long i = lo; i < hi; ++i) {
@@ -79,7 +79,7 @@ ConfigResult run_config(int n, long total_tasks, long latency_us) {
   }
   for (int c = 0; c < n; ++c) {
     threads.emplace_back([&, c] {
-      const std::string queue = "q" + std::to_string(c % n);
+      const std::string queue = 'q' + std::to_string(c % n);
       while (consumed.load() < total_tasks) {
         auto d = broker->get(queue, 0.001);
         if (!d) continue;

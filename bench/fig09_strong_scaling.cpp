@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
     appman.run();
     print_report_row(std::to_string(cores), appman.overheads());
     utilizations.push_back(
-        entk::analytics::RunAnalysis::from_profiler(*appman.profiler())
-            .core_utilization(cores));
+        entk::analytics::RunAnalysis(appman.trace()).core_utilization(cores));
   }
   std::printf("\ncore utilization: 1024 -> %.1f%%, 2048 -> %.1f%%, "
               "4096 -> %.1f%%\n",

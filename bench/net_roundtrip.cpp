@@ -74,7 +74,7 @@ mq::Message make_message(const std::string& queue, int i, int data_doubles) {
   json::Array data;
   data.reserve(static_cast<std::size_t>(data_doubles));
   for (int k = 0; k < data_doubles; ++k) {
-    data.push_back(1.5e9 + i + 0.001 * k);  // epoch-second timestamp shape
+    data.emplace_back(1.5e9 + i + 0.001 * k);  // epoch-second timestamp shape
   }
   payload["data"] = std::move(data);
   return mq::Message::json_body(queue, std::move(payload));

@@ -10,7 +10,6 @@
 // Flags: --pipelines M (default 4), --tasks N per pipeline (default 256),
 //        --reps R best-of-R runs per batch size (default 3),
 //        --check (exit nonzero unless batch=256 gives >= 3x batch=1),
-//        --profile PREFIX (dump one profiler CSV per batch size),
 //        --trace-out PATH / --metrics-out PATH (observability exports of
 //        the first batch=256 run: Chrome trace JSON / metrics JSONL),
 //        --obs-check (batch=256 only: best-of-R with live metrics off vs
@@ -107,7 +106,6 @@ struct ObsOptions {
 };
 
 Sample run_once(int pipelines, int tasks, std::size_t batch,
-                const char* profile_csv = nullptr,
                 const ObsOptions& obs = {}) {
   entk::bench::EnsembleSpec spec;
   spec.pipelines = pipelines;
@@ -134,7 +132,6 @@ Sample run_once(int pipelines, int tasks, std::size_t batch,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  if (profile_csv != nullptr) appman.profiler()->dump_csv(profile_csv);
   const std::size_t total = static_cast<std::size_t>(pipelines) * tasks;
   if (appman.tasks_done() != total) {
     std::fprintf(stderr, "FATAL: batch=%zu resolved %zu of %zu tasks\n",
@@ -414,12 +411,9 @@ int main(int argc, char** argv) {
   std::printf("task_throughput: %d pipeline(s) x %d task(s), no-op RTS\n\n",
               pipelines, tasks);
 
-  // --profile PREFIX: dump one CSV event trace per batch size.
-  std::string profile_prefix;
   std::string json_out = "BENCH_dispatch.json";
   ObsOptions export_obs;
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--profile") profile_prefix = argv[i + 1];
     if (std::string(argv[i]) == "--trace-out") export_obs.trace_out = argv[i + 1];
     if (std::string(argv[i]) == "--metrics-out")
       export_obs.metrics_out = argv[i + 1];
@@ -602,13 +596,13 @@ int main(int argc, char** argv) {
     for (long r = 0; r < reps; ++r) {
       const Sample off = run_once(pipelines, tasks, 256);
       const Sample on =
-          run_once(pipelines, tasks, 256, nullptr, ObsOptions{true, "", ""});
+          run_once(pipelines, tasks, 256, ObsOptions{true, "", ""});
       ratios.push_back(on.tasks_per_s / off.tasks_per_s);
       if (off.tasks_per_s > off_best.tasks_per_s) off_best = off;
       if (on.tasks_per_s > on_best.tasks_per_s) on_best = on;
     }
     if (!export_obs.trace_out.empty() || !export_obs.metrics_out.empty()) {
-      run_once(pipelines, tasks, 256, nullptr, export_obs);
+      run_once(pipelines, tasks, 256, export_obs);
     }
     std::sort(ratios.begin(), ratios.end());
     const double ratio = ratios[ratios.size() / 2];
@@ -635,14 +629,9 @@ int main(int argc, char** argv) {
               "us/task");
   for (std::size_t batch : {std::size_t{1}, std::size_t{16},
                             std::size_t{256}}) {
-    const std::string csv =
-        profile_prefix.empty()
-            ? ""
-            : profile_prefix + "_b" + std::to_string(batch) + ".csv";
     // Best-of-R: dispatch is latency-bound, so the fastest rep is the one
     // least disturbed by scheduler noise on a shared machine.
     Sample s = run_once(pipelines, tasks, batch,
-                        csv.empty() ? nullptr : csv.c_str(),
                         batch == 256 ? export_obs : ObsOptions{});
     for (long r = 1; r < reps; ++r) {
       const Sample again = run_once(pipelines, tasks, batch);

@@ -92,7 +92,7 @@ mq::Message make_message(const std::string& queue, int i, int payload_bytes) {
   json::Array data;
   const int doubles = std::max(1, payload_bytes / 8);
   data.reserve(static_cast<std::size_t>(doubles));
-  for (int k = 0; k < doubles; ++k) data.push_back(1.5e9 + i + 0.001 * k);
+  for (int k = 0; k < doubles; ++k) data.emplace_back(1.5e9 + i + 0.001 * k);
   payload["data"] = std::move(data);
   return mq::Message::json_body(queue, std::move(payload));
 }

@@ -32,11 +32,11 @@ bool flag_present(int argc, char** argv, const std::string& name) {
 std::vector<PipelinePtr> make_ensemble(const EnsembleSpec& spec) {
   std::vector<PipelinePtr> pipelines;
   for (int p = 0; p < spec.pipelines; ++p) {
-    auto pipeline = std::make_shared<Pipeline>("p" + std::to_string(p));
+    auto pipeline = std::make_shared<Pipeline>('p' + std::to_string(p));
     for (int s = 0; s < spec.stages; ++s) {
-      auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+      auto stage = std::make_shared<Stage>('s' + std::to_string(s));
       for (int t = 0; t < spec.tasks; ++t) {
-        auto task = std::make_shared<Task>("t" + std::to_string(t));
+        auto task = std::make_shared<Task>('t' + std::to_string(t));
         task->executable = spec.executable;
         task->duration_s = spec.duration_s;
         task->cpu_reqs.processes = spec.cores_per_task;

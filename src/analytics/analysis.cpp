@@ -5,55 +5,14 @@
 
 namespace entk::analytics {
 
-double TaskTimeline::queue_wait() const {
-  if (received < 0 || exec_start < received) return 0.0;
-  double wait = exec_start - received;
-  if (stage_in_start >= 0 && stage_in_stop >= stage_in_start) {
-    wait -= stage_in_stop - stage_in_start;
-  }
-  return std::max(0.0, wait);
-}
-
-RunAnalysis RunAnalysis::from_profiler(const Profiler& profiler) {
-  RunAnalysis out;
-  std::map<std::string, TaskTimeline> by_uid;
-  for (const ProfileEvent& e : profiler.events()) {
-    if (e.virtual_s < 0 || e.uid.empty()) continue;
-    // Only the agent's per-unit events describe task timelines.
-    if (e.event.rfind("unit_", 0) != 0) continue;
-    TaskTimeline& t = by_uid[e.uid];
-    t.uid = e.uid;
-    const double v = e.virtual_s;
-    if (e.event == "unit_received") t.received = v;
-    else if (e.event == "unit_stage_in_start") t.stage_in_start = v;
-    else if (e.event == "unit_stage_in_stop") t.stage_in_stop = v;
-    else if (e.event == "unit_exec_start") t.exec_start = v;
-    else if (e.event == "unit_exec_stop") t.exec_end = v;
-    else if (e.event == "unit_stage_out_start") t.stage_out_start = v;
-    else if (e.event == "unit_stage_out_stop") t.stage_out_stop = v;
-    else if (e.event == "unit_done") t.done = v;
-  }
-  out.tasks_.reserve(by_uid.size());
-  for (auto& [uid, t] : by_uid) {
-    (void)uid;
-    out.tasks_.push_back(std::move(t));
-  }
-  return out;
-}
-
-double RunAnalysis::makespan() const {
-  double first = -1, last = -1;
-  for (const TaskTimeline& t : tasks_) {
-    if (t.exec_start < 0) continue;
-    if (first < 0 || t.exec_start < first) first = t.exec_start;
-    if (t.exec_end > last) last = t.exec_end;
-  }
-  return first >= 0 && last >= first ? last - first : 0.0;
+RunAnalysis::RunAnalysis(const obs::Trace& trace)
+    : makespan_(trace.exec_span_s()) {
+  for (const auto& [uid, task] : trace.tasks) units_.emplace(uid, task.vt);
 }
 
 std::vector<ConcurrencyPoint> RunAnalysis::concurrency_curve() const {
   std::vector<std::pair<double, int>> deltas;
-  for (const TaskTimeline& t : tasks_) {
+  for (const auto& [uid, t] : units_) {
     if (t.exec_start < 0 || t.exec_end < t.exec_start) continue;
     deltas.emplace_back(t.exec_start, +1);
     deltas.emplace_back(t.exec_end, -1);
@@ -86,10 +45,10 @@ double RunAnalysis::core_utilization(
   const double span = makespan();
   if (span <= 0 || total_cores <= 0) return 0.0;
   double busy = 0.0;
-  for (const TaskTimeline& t : tasks_) {
-    const auto it = cores_of.find(t.uid);
+  for (const auto& [uid, t] : units_) {
+    const auto it = cores_of.find(uid);
     const int cores = it != cores_of.end() ? it->second : default_cores;
-    busy += t.exec_duration() * cores;
+    busy += t.exec_s() * cores;
   }
   return busy / (static_cast<double>(total_cores) * span);
 }
@@ -97,7 +56,7 @@ double RunAnalysis::core_utilization(
 double RunAnalysis::mean_queue_wait() const {
   double sum = 0.0;
   std::size_t n = 0;
-  for (const TaskTimeline& t : tasks_) {
+  for (const auto& [uid, t] : units_) {
     if (t.exec_start < 0) continue;
     sum += t.queue_wait();
     ++n;
@@ -107,14 +66,7 @@ double RunAnalysis::mean_queue_wait() const {
 
 double RunAnalysis::total_staging() const {
   double total = 0.0;
-  for (const TaskTimeline& t : tasks_) {
-    if (t.stage_in_start >= 0 && t.stage_in_stop >= t.stage_in_start) {
-      total += t.stage_in_stop - t.stage_in_start;
-    }
-    if (t.stage_out_start >= 0 && t.stage_out_stop >= t.stage_out_start) {
-      total += t.stage_out_stop - t.stage_out_start;
-    }
-  }
+  for (const auto& [uid, t] : units_) total += t.stage_in + t.stage_out;
   return total;
 }
 

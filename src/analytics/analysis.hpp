@@ -2,40 +2,20 @@
 // traces with exactly this kind of tooling — RADICAL-Analytics in the
 // reference stack).
 //
-// RunAnalysis digests a Profiler trace into per-task timelines and derives
-// the quantities the paper reasons about: task concurrency over time,
-// resource utilization across the ensemble execution (the §II-A "full
-// resource utilization" requirement), makespan, and per-phase waits.
+// RunAnalysis reads the per-unit virtual times of a stitched trace
+// (obs::build_trace) and derives the quantities the paper reasons about:
+// task concurrency over time, resource utilization across the ensemble
+// execution (the §II-A "full resource utilization" requirement), makespan,
+// and per-phase waits.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "src/common/profiler.hpp"
+#include "src/obs/trace.hpp"
 
 namespace entk::analytics {
-
-/// Virtual-time milestones of one task as seen by the RTS agent.
-struct TaskTimeline {
-  std::string uid;
-  double received = -1;
-  double stage_in_start = -1;
-  double stage_in_stop = -1;
-  double exec_start = -1;
-  double exec_end = -1;
-  double stage_out_start = -1;
-  double stage_out_stop = -1;
-  double done = -1;
-
-  double exec_duration() const {
-    return exec_start >= 0 && exec_end >= exec_start ? exec_end - exec_start
-                                                     : 0.0;
-  }
-  /// Wait between arriving at the agent and starting execution, staging
-  /// excluded (scheduling + dispatch + core wait).
-  double queue_wait() const;
-};
 
 /// One step of the concurrency curve: from `t` onward (until the next
 /// entry), `executing` tasks run simultaneously.
@@ -46,14 +26,18 @@ struct ConcurrencyPoint {
 
 class RunAnalysis {
  public:
-  /// Build from a profiler trace (uses the agent's virtual-time events).
-  static RunAnalysis from_profiler(const Profiler& profiler);
+  /// Analyse the traced tasks' RTS virtual times.
+  explicit RunAnalysis(const obs::Trace& trace);
 
-  const std::vector<TaskTimeline>& tasks() const { return tasks_; }
-  std::size_t task_count() const { return tasks_.size(); }
+  /// Virtual times of every traced task, by uid.
+  const std::map<std::string, obs::UnitVirtualTimes>& units() const {
+    return units_;
+  }
+  std::size_t task_count() const { return units_.size(); }
 
-  /// First exec start -> last exec end (0 when nothing executed).
-  double makespan() const;
+  /// First exec start -> last exec end (0 when nothing executed); the
+  /// OverheadReport's Task Execution Time.
+  double makespan() const { return makespan_; }
 
   /// Piecewise-constant number of concurrently executing tasks.
   std::vector<ConcurrencyPoint> concurrency_curve() const;
@@ -65,7 +49,7 @@ class RunAnalysis {
                           const std::map<std::string, int>& cores_of = {},
                           int default_cores = 1) const;
 
-  /// Mean queue wait (see TaskTimeline::queue_wait) over tasks that ran.
+  /// Mean queue wait (UnitVirtualTimes::queue_wait) over tasks that ran.
   double mean_queue_wait() const;
 
   /// Total staging time (sum over tasks, in and out).
@@ -75,7 +59,8 @@ class RunAnalysis {
   std::string summary(int total_cores) const;
 
  private:
-  std::vector<TaskTimeline> tasks_;
+  std::map<std::string, obs::UnitVirtualTimes> units_;
+  double makespan_ = 0.0;
 };
 
 }  // namespace entk::analytics

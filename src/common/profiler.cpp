@@ -1,12 +1,6 @@
 #include "src/common/profiler.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
-
 #include "src/common/clock.hpp"
-#include "src/common/error.hpp"
 
 namespace entk {
 
@@ -19,12 +13,6 @@ void Profiler::record(std::string_view component, std::string_view event,
   std::lock_guard<std::mutex> lock(mutex_);
   e.component = intern_locked(component);
   e.event = intern_locked(event);
-  // Maintain the per-event-name index inline so first/last/count queries
-  // never rescan the log.
-  EventIndexEntry& entry = index_[e.event];
-  if (entry.count == 0) entry.first_us = e.wall_us;
-  entry.last_us = e.wall_us;
-  ++entry.count;
   events_.push_back(std::move(e));
 }
 
@@ -34,26 +22,17 @@ std::uint32_t Profiler::intern_locked(std::string_view name) {
   const auto id = static_cast<std::uint32_t>(names_.size());
   names_.emplace_back(name);
   name_ids_.emplace(names_.back(), id);
-  index_.emplace_back();
   return id;
-}
-
-const Profiler::EventIndexEntry* Profiler::find_locked(
-    std::string_view event) const {
-  const auto it = name_ids_.find(event);
-  if (it == name_ids_.end() || index_[it->second].count == 0) return nullptr;
-  return &index_[it->second];
-}
-
-ProfileEvent Profiler::render_locked(const Event& e) const {
-  return {e.wall_us, e.virtual_s, names_[e.component], names_[e.event], e.uid};
 }
 
 std::vector<ProfileEvent> Profiler::events() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<ProfileEvent> out;
   out.reserve(events_.size());
-  for (const Event& e : events_) out.push_back(render_locked(e));
+  for (const Event& e : events_) {
+    out.push_back(
+        {e.wall_us, e.virtual_s, names_[e.component], names_[e.event], e.uid});
+  }
   return out;
 }
 
@@ -62,171 +41,9 @@ std::size_t Profiler::size() const {
   return events_.size();
 }
 
-std::optional<std::int64_t> Profiler::first_us(const std::string& event) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const EventIndexEntry* entry = find_locked(event);
-  if (entry == nullptr) return std::nullopt;
-  return entry->first_us;
-}
-
-std::optional<std::int64_t> Profiler::last_us(const std::string& event) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const EventIndexEntry* entry = find_locked(event);
-  if (entry == nullptr) return std::nullopt;
-  return entry->last_us;
-}
-
-double Profiler::span_s(const std::string& start_event,
-                        const std::string& end_event) const {
-  const auto a = first_us(start_event);
-  const auto b = last_us(end_event);
-  if (!a || !b) return 0.0;
-  return static_cast<double>(*b - *a) * 1e-6;
-}
-
-double Profiler::paired_sum_s(const std::string& start_event,
-                              const std::string& end_event) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto start = name_ids_.find(start_event);
-  const auto end = name_ids_.find(end_event);
-  if (start == name_ids_.end() || end == name_ids_.end()) return 0.0;
-  std::map<std::string, std::int64_t> starts;
-  double total = 0.0;
-  for (const Event& e : events_) {
-    if (e.event == start->second) {
-      // Keep the first start per uid.
-      starts.emplace(e.uid, e.wall_us);
-    } else if (e.event == end->second) {
-      const auto it = starts.find(e.uid);
-      if (it != starts.end()) {
-        total += static_cast<double>(e.wall_us - it->second) * 1e-6;
-        starts.erase(it);
-      }
-    }
-  }
-  return total;
-}
-
-std::size_t Profiler::count(const std::string& event) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const EventIndexEntry* entry = find_locked(event);
-  return entry == nullptr ? 0 : entry->count;
-}
-
-namespace {
-
-/// RFC 4180: quote when the field contains a comma, quote, CR or LF;
-/// double embedded quotes.
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-void Profiler::dump_csv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw EnTKError("Profiler: cannot open " + path);
-  std::fprintf(f, "wall_us,virtual_s,component,event,uid\n");
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const Event& e : events_) {
-    std::fprintf(f, "%lld,%.6f,%s,%s,%s\n",
-                 static_cast<long long>(e.wall_us), e.virtual_s,
-                 csv_field(names_[e.component]).c_str(),
-                 csv_field(names_[e.event]).c_str(), csv_field(e.uid).c_str());
-  }
-  std::fclose(f);
-}
-
 void Profiler::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   events_.clear();
-  for (EventIndexEntry& entry : index_) entry = {};
-}
-
-namespace {
-
-/// Split one RFC 4180 record starting at `pos` in `text` (which holds the
-/// whole file, so quoted newlines are handled); advances `pos` past the
-/// record's trailing newline.
-std::vector<std::string> csv_record(const std::string& text,
-                                    std::size_t& pos) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool quoted = false;
-  while (pos < text.size()) {
-    const char c = text[pos];
-    if (quoted) {
-      if (c == '"') {
-        if (pos + 1 < text.size() && text[pos + 1] == '"') {
-          field += '"';
-          ++pos;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"' && field.empty()) {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (c == '\n' || c == '\r') {
-      if (c == '\r' && pos + 1 < text.size() && text[pos + 1] == '\n') ++pos;
-      ++pos;
-      fields.push_back(std::move(field));
-      return fields;
-    } else {
-      field += c;
-    }
-    ++pos;
-  }
-  fields.push_back(std::move(field));
-  return fields;
-}
-
-}  // namespace
-
-std::vector<ProfileEvent> read_profile_csv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw EnTKError("read_profile_csv: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  std::vector<ProfileEvent> out;
-  std::size_t pos = 0;
-  bool header = true;
-  while (pos < text.size()) {
-    const std::vector<std::string> fields = csv_record(text, pos);
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (fields.size() == 1 && fields[0].empty()) continue;  // trailing blank
-    if (fields.size() != 5) {
-      throw EnTKError("read_profile_csv: malformed row in " + path);
-    }
-    ProfileEvent e;
-    try {
-      e.wall_us = std::stoll(fields[0]);
-      e.virtual_s = std::stod(fields[1]);
-    } catch (const std::exception&) {
-      throw EnTKError("read_profile_csv: non-numeric field in " + path);
-    }
-    e.component = fields[2];
-    e.event = fields[3];
-    e.uid = fields[4];
-    out.push_back(std::move(e));
-  }
-  return out;
 }
 
 }  // namespace entk

@@ -1,21 +1,18 @@
-// Event profiler used to derive the paper's overhead categories.
+// Event profiler: the one event stream every component records into.
 //
 // Every component records named events with a wall-clock microsecond
 // timestamp (and, where meaningful, a virtual-time annotation). The
-// OverheadReport in src/core then derives durations such as "EnTK Setup
-// Overhead" or "RTS Tear-Down Overhead" as differences between the first and
-// last occurrence of well-known event names — the same methodology the
-// reference implementation applies to its profiler traces.
+// profiler only records; obs::build_trace (src/obs/trace.hpp) stitches the
+// log into the causal trace that the OverheadReport, RunAnalysis, the span
+// histograms and the trace file are all derived from.
 //
 // Component and event names are interned in a small table, so a recorded
-// event is compact; ProfileEvent strings are rendered only by events() and
-// dump_csv().
+// event is compact; ProfileEvent strings are rendered only by events().
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -43,30 +40,6 @@ class Profiler {
   /// Number of recorded events.
   std::size_t size() const;
 
-  /// Wall time of the first/last occurrence of `event`, if any. Served
-  /// from a per-event-name index maintained by record(), so callers like
-  /// OverheadReport (dozens of queries per report) never rescan the log.
-  std::optional<std::int64_t> first_us(const std::string& event) const;
-  std::optional<std::int64_t> last_us(const std::string& event) const;
-
-  /// last_us(end_event) - first_us(start_event), in seconds.
-  /// Returns 0 when either event is missing.
-  double span_s(const std::string& start_event,
-                const std::string& end_event) const;
-
-  /// Sum over matching pairs: for each uid, last(end) - first(start).
-  /// Used for per-task aggregates such as total staging time.
-  double paired_sum_s(const std::string& start_event,
-                      const std::string& end_event) const;
-
-  /// Count occurrences of `event` (indexed, O(1)).
-  std::size_t count(const std::string& event) const;
-
-  /// Write all events as CSV ("wall_us,virtual_s,component,event,uid").
-  /// Fields are quoted per RFC 4180 when they contain a comma, quote or
-  /// newline, so arbitrary event/uid strings round-trip.
-  void dump_csv(const std::string& path) const;
-
   void clear();
 
  private:
@@ -78,12 +51,6 @@ class Profiler {
     std::uint32_t event = 0;
     std::string uid;
   };
-  /// first/last timestamp and count per event name, updated by record().
-  struct EventIndexEntry {
-    std::int64_t first_us = 0;
-    std::int64_t last_us = 0;
-    std::size_t count = 0;
-  };
   struct NameHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {
@@ -92,22 +59,14 @@ class Profiler {
   };
 
   std::uint32_t intern_locked(std::string_view name);
-  /// Index entry of `event`; nullptr when it was never recorded.
-  const EventIndexEntry* find_locked(std::string_view event) const;
-  ProfileEvent render_locked(const Event& e) const;
 
   mutable std::mutex mutex_;
   std::vector<Event> events_;
   std::vector<std::string> names_;
   std::unordered_map<std::string, std::uint32_t, NameHash, std::equal_to<>>
       name_ids_;
-  std::vector<EventIndexEntry> index_;  ///< per names_ entry
 };
 
 using ProfilerPtr = std::shared_ptr<Profiler>;
-
-/// Read back a CSV written by Profiler::dump_csv (RFC 4180 quoting).
-/// Throws EnTKError on unreadable file or malformed rows.
-std::vector<ProfileEvent> read_profile_csv(const std::string& path);
 
 }  // namespace entk

@@ -352,7 +352,8 @@ void AppManager::run() {
   if (metrics_) obs::fill_span_histograms(trace_, *metrics_);
   try {
     if (!config_.obs.trace_out.empty()) {
-      obs::write_chrome_trace(trace_, config_.obs.trace_out);
+      obs::write_chrome_trace(trace_, profiler_->events(),
+                              config_.obs.trace_out);
       ENTK_INFO(uid_) << "trace written to " << config_.obs.trace_out;
     }
     if (!config_.obs.metrics_out.empty() && metrics_) {

@@ -38,7 +38,7 @@ VirtualSpans from_trace(const obs::Trace& trace) {
     if (u.received >= 0 && u.exec_start >= u.received &&
         (first_received < 0 || u.received < first_received)) {
       first_received = u.received;
-      out.lead_in = std::max(0.0, u.exec_start - u.received - u.stage_in);
+      out.lead_in = u.queue_wait();
     }
     if (u.exec_end >= 0 && u.done >= u.exec_end) {
       lead_out_sum += std::max(0.0, u.done - u.exec_end - u.stage_out);
@@ -50,11 +50,6 @@ VirtualSpans from_trace(const obs::Trace& trace) {
 }
 
 }  // namespace
-
-OverheadReport compute_overheads(const Profiler& profiler,
-                                 const OverheadInputs& in) {
-  return compute_overheads(obs::build_trace(profiler), in);
-}
 
 OverheadReport compute_overheads(const obs::Trace& trace,
                                  const OverheadInputs& in) {

@@ -174,6 +174,10 @@ void WFProcessor::enqueue_loop() {
         continue;
       }
       if (stage->state() == StageState::Done) {
+        // DONE but not yet advanced past: the dequeue thread is still
+        // inside finish_stage (its hook may append stages), so leave the
+        // pipeline to it.
+        if (stage_advancing(stage)) continue;
         // Crash recovery: a previous generation died inside a post_exec
         // hook after the stage committed DONE but before the pipeline
         // advanced. Pick up where it left off — the hook itself was
@@ -433,6 +437,12 @@ void WFProcessor::fail_task(const TaskPtr& task, SyncClient& sync) {
   credit_stage(registry_->stage(task->parent_stage()), 1, 1, sync);
 }
 
+bool WFProcessor::stage_advancing(const StagePtr& stage) {
+  std::lock_guard<std::mutex> lock(book_mutex_);
+  auto it = stage_books_.find(stage->id());
+  return it != stage_books_.end() && it->second.advancing;
+}
+
 void WFProcessor::credit_stage(const StagePtr& stage, std::size_t resolved,
                                std::size_t failed, SyncClient& sync) {
   if (!stage) return;  // parent not registered: nothing to account
@@ -450,8 +460,19 @@ void WFProcessor::credit_stage(const StagePtr& stage, std::size_t resolved,
       return;
     }
     book.finished = true;
+    book.advancing = true;
     stage_failed = book.failed > 0;
   }
+  // Cleared on every exit, an escaping post_exec exception included, so
+  // the enqueue rescan's crash recovery can take over.
+  struct AdvancingScope {
+    WFProcessor& wfp;
+    std::uint32_t id;
+    ~AdvancingScope() {
+      std::lock_guard<std::mutex> lock(wfp.book_mutex_);
+      wfp.stage_books_[id].advancing = false;
+    }
+  } advancing{*this, stage->id()};
   PipelinePtr pipeline = registry_->pipeline(stage->parent_pipeline());
   if (!pipeline) {
     ENTK_ERROR("wfprocessor") << "stage " << stage->uid()

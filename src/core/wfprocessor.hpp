@@ -109,9 +109,14 @@ class WFProcessor : public Component {
     std::size_t resolved = 0;
     std::size_t failed = 0;
     bool finished = false;  ///< finish_stage dispatched (one-shot guard)
+    /// finish_stage is running on a live thread: the stage may already be
+    /// DONE while its post_exec hook has not yet extended the pipeline.
+    bool advancing = false;
   };
 
   void enqueue_loop();
+  /// True while finish_stage runs for `stage` (see StageBook::advancing).
+  bool stage_advancing(const StagePtr& stage);
   void dequeue_loop();
   void schedule_stage(const PipelinePtr& pipeline, const StagePtr& stage,
                       SyncClient& sync);

@@ -245,16 +245,22 @@ class MetricsRegistry {
   }
 
   /// Write the snapshot history plus a final snapshot as JSONL: one object
-  /// per metric per snapshot. Throws std::runtime_error on I/O failure.
+  /// per metric per snapshot. Throws std::runtime_error naming `path` when
+  /// the file cannot be opened or written.
   void dump_jsonl(const std::string& path, std::int64_t wall_us) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       throw std::runtime_error("MetricsRegistry: cannot open " + path);
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const TimedSnapshot& s : history_) write_snapshot(f, s);
-    write_snapshot(f, {wall_us, "final", snapshot_locked()});
-    std::fclose(f);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (const TimedSnapshot& s : history_) write_snapshot(f, s);
+      write_snapshot(f, {wall_us, "final", snapshot_locked()});
+    }
+    const bool failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || failed) {
+      throw std::runtime_error("MetricsRegistry: cannot write " + path);
+    }
   }
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "src/common/error.hpp"
 #include "src/json/json.hpp"
@@ -216,6 +218,9 @@ Trace build_trace(const Profiler& profiler, const TraceLinks& links) {
 
 namespace {
 
+/// Top-level key of the raw event rows in the trace file.
+constexpr const char* kRawEventsKey = "entkEvents";
+
 void emit_complete(std::FILE* f, bool& first, const std::string& name,
                    const char* cat, int pid, int tid, std::int64_t start_us,
                    std::int64_t end_us, const std::string& arg_uid = "") {
@@ -246,7 +251,9 @@ void emit_metadata(std::FILE* f, bool& first, const char* what, int pid,
 
 }  // namespace
 
-void write_chrome_trace(const Trace& trace, const std::string& path) {
+void write_chrome_trace(const Trace& trace,
+                        const std::vector<ProfileEvent>& events,
+                        const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) throw EnTKError("write_chrome_trace: cannot open " + path);
   std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", f);
@@ -308,8 +315,56 @@ void write_chrome_trace(const Trace& trace, const std::string& path) {
     }
   }
 
+  std::fprintf(f, "\n],\"%s\":[", kRawEventsKey);
+  first = true;
+  for (const ProfileEvent& e : events) {
+    std::fprintf(f, "%s\n[%lld,%s,\"%s\",\"%s\",\"%s\"]", first ? "" : ",",
+                 static_cast<long long>(e.wall_us),
+                 json::Value(e.virtual_s).dump().c_str(),
+                 json::escape(e.component).c_str(),
+                 json::escape(e.event).c_str(), json::escape(e.uid).c_str());
+    first = false;
+  }
   std::fputs("\n]}\n", f);
-  std::fclose(f);
+  const bool failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || failed) {
+    throw EnTKError("write_chrome_trace: cannot write " + path);
+  }
+}
+
+std::vector<ProfileEvent> read_trace_events(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw EnTKError("read_trace_events: cannot open " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const auto malformed = [&path](const std::string& what) {
+    return EnTKError("read_trace_events: " + what + " in " + path);
+  };
+  json::Value doc;
+  try {
+    doc = json::parse(buffer.str());
+  } catch (const json::ParseError& e) {
+    throw malformed(e.what());
+  }
+  if (!doc.is_object() || !doc.contains(kRawEventsKey) ||
+      !doc.at(kRawEventsKey).is_array()) {
+    throw malformed(std::string("no \"") + kRawEventsKey + "\" array");
+  }
+  std::vector<ProfileEvent> out;
+  const auto bad_row = [&] {
+    return malformed("malformed row " + std::to_string(out.size()));
+  };
+  for (const json::Value& row : doc.at(kRawEventsKey).as_array()) {
+    if (!row.is_array() || row.size() != 5) throw bad_row();
+    const json::Array& f = row.as_array();
+    if (!f[0].is_int() || !f[1].is_number() || !f[2].is_string() ||
+        !f[3].is_string() || !f[4].is_string()) {
+      throw bad_row();
+    }
+    out.push_back({f[0].as_int(), f[1].as_double(), f[2].as_string(),
+                   f[3].as_string(), f[4].as_string()});
+  }
+  return out;
 }
 
 void fill_span_histograms(const Trace& trace, MetricsRegistry& registry) {

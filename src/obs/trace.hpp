@@ -1,8 +1,8 @@
 // Causal task tracer: the post-hoc half of the observability subsystem.
 //
-// The raw Profiler (src/common/profiler.hpp) stays the single event source
-// every component already feeds; this module stitches its flat event log
-// into a causal model:
+// The raw Profiler (src/common/profiler.hpp) is the single event source
+// every component feeds; build_trace() is the one stitcher of its flat
+// event log into a causal model:
 //
 //   - per-task span chains across WFProcessor, the broker queues, the
 //     ExecManager and the RTS, keyed by the task uid:
@@ -15,11 +15,14 @@
 //     staging) that OverheadReport derives the paper's seven overhead
 //     categories from.
 //
-// Exporters: write_chrome_trace() emits Chrome trace_event JSON loadable
-// in chrome://tracing or Perfetto; fill_span_histograms() feeds a
-// MetricsRegistry so span latencies get p50/p95/max summaries.
+// Exporters: write_chrome_trace() writes the one trace file: Chrome
+// trace_event JSON loadable in chrome://tracing or Perfetto that also
+// carries the raw events, which read_trace_events() reads back for
+// post-mortem stitching; fill_span_histograms() feeds a MetricsRegistry so
+// span latencies get p50/p95/max summaries.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -49,12 +52,24 @@ struct TaskSpan {
   std::int64_t end_us = 0;
 };
 
-/// Virtual-time view of one unit's life inside the RTS (the event shapes
-/// OverheadReport historically scanned for). -1 = never observed.
+/// Virtual-time view of one unit's life inside the RTS, read by the
+/// OverheadReport and RunAnalysis. -1 = never observed.
 struct UnitVirtualTimes {
   double received = -1, exec_start = -1, exec_end = -1, done = -1;
   double stage_in = 0, stage_out = 0;          // accumulated durations
   double stage_in_start = -1, stage_out_start = -1;
+
+  /// exec_start -> exec_end (0 when the unit never finished executing).
+  double exec_s() const {
+    return exec_start >= 0 && exec_end >= exec_start ? exec_end - exec_start
+                                                     : 0.0;
+  }
+  /// Wait between arriving at the agent and starting execution, staging
+  /// excluded (scheduling + dispatch + core wait); 0 when never started.
+  double queue_wait() const {
+    if (received < 0 || exec_start < received) return 0.0;
+    return std::max(0.0, exec_start - received - stage_in);
+  }
 };
 
 struct TaskTrace {
@@ -130,10 +145,21 @@ Trace build_trace(const std::vector<ProfileEvent>& events,
                   const TraceLinks& links = {});
 Trace build_trace(const Profiler& profiler, const TraceLinks& links = {});
 
-/// Chrome trace_event JSON ("X" complete events + "M" metadata), loadable
-/// in chrome://tracing / Perfetto. One pid per pipeline, one tid lane per
-/// chain segment. Throws std::runtime_error on I/O failure.
-void write_chrome_trace(const Trace& trace, const std::string& path);
+/// Write the trace file: Chrome trace_event JSON ("X" complete events +
+/// "M" metadata under "traceEvents"), loadable in chrome://tracing /
+/// Perfetto, one pid per pipeline, one tid lane per chain segment. The
+/// raw `events` follow in record order under "entkEvents", one
+/// [wall_us, virtual_s, component, event, uid] row each (trace viewers
+/// ignore unknown top-level keys). Throws EnTKError naming `path` when the
+/// file cannot be opened or written.
+void write_chrome_trace(const Trace& trace,
+                        const std::vector<ProfileEvent>& events,
+                        const std::string& path);
+
+/// Read the raw events back from a file written by write_chrome_trace, in
+/// record order. Strict: throws EnTKError on an unreadable file, invalid
+/// JSON, a missing "entkEvents" array or a malformed row.
+std::vector<ProfileEvent> read_trace_events(const std::string& path);
 
 /// Record every task span's duration into `registry` histograms named
 /// "span.<name>_us", plus "span.total_us" for the whole chain.

@@ -20,7 +20,7 @@ struct JobDescription {
   std::string name;
   int nodes = 1;
   double walltime_s = 3600.0;  ///< virtual seconds
-  std::string project;         ///< allocation/project id (informational)
+  std::string project = {};    ///< allocation/project id (informational)
 };
 
 /// Handle to a submitted job. State is evaluated lazily against the

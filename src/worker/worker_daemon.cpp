@@ -16,7 +16,7 @@ namespace entk::worker {
 namespace {
 
 std::string default_worker_id() {
-  return "w" + std::to_string(static_cast<long>(::getpid()));
+  return 'w' + std::to_string(static_cast<long>(::getpid()));
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ TEST(AgentExec, DispatchRateSerializesStarts) {
   AgentConfig cfg = fast_agent();
   cfg.dispatch_rate_per_s = 10.0;  // one start per 0.1 virtual s
   AgentHarness h(cfg);
-  for (int i = 0; i < 8; ++i) h.submit(unit_of("u" + std::to_string(i), 5.0));
+  for (int i = 0; i < 8; ++i) h.submit(unit_of('u' + std::to_string(i), 5.0));
   auto results = h.collect(8);
   ASSERT_EQ(results.size(), 8u);
   double min_start = 1e18, max_start = -1e18;
@@ -124,7 +124,7 @@ TEST(AgentExec, SequentialStagerSerializesInputStaging) {
   AgentHarness h(cfg);
   // Each unit stages 10 MB at the default 500 MB/s: 25 ms each (+latency).
   for (int i = 0; i < 4; ++i) {
-    TaskUnit u = unit_of("u" + std::to_string(i), 1.0);
+    TaskUnit u = unit_of('u' + std::to_string(i), 1.0);
     u.input_staging.push_back(
         {"in", "sandbox/", saga::StagingAction::Copy, 10'000'000});
     h.submit(std::move(u));
@@ -172,7 +172,7 @@ TEST(AgentExec, ParallelStagersOverlapStaging) {
     AgentHarness h(cfg, 4, 8, {}, 1e-3);
     for (int i = 0; i < 4; ++i) {
       TaskUnit u;
-      u.uid = "u" + std::to_string(i);
+      u.uid = 'u' + std::to_string(i);
       u.duration_s = 1.0;
       // 2 GB each (~4 s virtual at 500 MB/s): staging dominates arrival
       // jitter, so the stager count is what decides the makespan.
@@ -210,7 +210,7 @@ TEST(AgentExec, HeadOfLineBlockingPreservesFifo) {
 
 TEST(AgentExec, GeneratinalExecutionWhenOversubscribed) {
   AgentHarness h(fast_agent(), /*nodes=*/1, /*cores_per_node=*/2);
-  for (int i = 0; i < 6; ++i) h.submit(unit_of("u" + std::to_string(i), 10.0));
+  for (int i = 0; i < 6; ++i) h.submit(unit_of('u' + std::to_string(i), 10.0));
   auto results = h.collect(6, 20.0);
   ASSERT_EQ(results.size(), 6u);
   double first_start = 1e18, last_end = 0;
@@ -243,7 +243,7 @@ TEST(AgentExec, StopCancelsUnplacedUnits) {
 
 TEST(AgentExec, ReleasedCoresAreReusable) {
   AgentHarness h(fast_agent(), /*nodes=*/1, /*cores_per_node=*/4);
-  for (int i = 0; i < 8; ++i) h.submit(unit_of("u" + std::to_string(i), 2.0, 2));
+  for (int i = 0; i < 8; ++i) h.submit(unit_of('u' + std::to_string(i), 2.0, 2));
   auto results = h.collect(8);
   ASSERT_EQ(results.size(), 8u);
   EXPECT_EQ(h.node_map().stats().used_cores, 0);

@@ -33,19 +33,19 @@ void fill_synthetic_trace(Profiler& p) {
 RunAnalysis synthetic_analysis() {
   Profiler p;
   fill_synthetic_trace(p);
-  return RunAnalysis::from_profiler(p);
+  return RunAnalysis(obs::build_trace(p));
 }
 
 TEST(RunAnalysisTest, TimelinesParsed) {
   const RunAnalysis a = synthetic_analysis();
   ASSERT_EQ(a.task_count(), 2u);
-  const TaskTimeline& t1 = a.tasks()[0];
-  EXPECT_EQ(t1.uid, "t1");
+  EXPECT_EQ(a.units().begin()->first, "t1");
+  const obs::UnitVirtualTimes& t1 = a.units().at("t1");
   EXPECT_DOUBLE_EQ(t1.received, 0.0);
-  EXPECT_DOUBLE_EQ(t1.exec_duration(), 10.0);
+  EXPECT_DOUBLE_EQ(t1.exec_s(), 10.0);
   // Queue wait of t1: 5.0 total minus 2.0 staging = 3.0.
   EXPECT_DOUBLE_EQ(t1.queue_wait(), 3.0);
-  const TaskTimeline& t2 = a.tasks()[1];
+  const obs::UnitVirtualTimes& t2 = a.units().at("t2");
   EXPECT_DOUBLE_EQ(t2.queue_wait(), 9.0);
 }
 
@@ -78,7 +78,7 @@ TEST(RunAnalysisTest, StagingTotals) {
 
 TEST(RunAnalysisTest, EmptyTraceIsSafe) {
   Profiler p;
-  const RunAnalysis a = RunAnalysis::from_profiler(p);
+  const RunAnalysis a(obs::build_trace(p));
   EXPECT_EQ(a.task_count(), 0u);
   EXPECT_DOUBLE_EQ(a.makespan(), 0.0);
   EXPECT_EQ(a.peak_concurrency(), 0);
@@ -107,7 +107,7 @@ TEST(RunAnalysisTest, RealRunProducesConsistentNumbers) {
   amgr.add_pipelines({pipeline});
   amgr.run();
 
-  const RunAnalysis a = RunAnalysis::from_profiler(*amgr.profiler());
+  const RunAnalysis a(amgr.trace());
   EXPECT_EQ(a.task_count(), 8u);
   // 8 single-core tasks on 8 cores, fully concurrent.
   EXPECT_EQ(a.peak_concurrency(), 8);

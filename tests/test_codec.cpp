@@ -76,7 +76,7 @@ json::Value random_value(std::mt19937& rng, int depth) {
       json::Object obj;
       const int n = len_pick(rng);
       for (int i = 0; i < n; ++i) {
-        obj["k" + std::to_string(i)] = random_value(rng, depth - 1);
+        obj['k' + std::to_string(i)] = random_value(rng, depth - 1);
       }
       return json::Value(std::move(obj));
     }
@@ -197,7 +197,7 @@ mq::Message structured_message() {
   payload["uid"] = "task.0042";
   payload["t"] = 1.5e9;
   json::Array data;
-  for (int i = 0; i < 16; ++i) data.push_back(std::int64_t{1} << i);
+  for (int i = 0; i < 16; ++i) data.emplace_back(std::int64_t{1} << i);
   payload["data"] = std::move(data);
   json::Value headers;
   headers["attempt"] = std::int64_t{2};

@@ -595,7 +595,7 @@ TEST(Overheads, ComputedFromProfilerEvents) {
   in.tasks_processed = 1;
   in.host.factor = 1.0;
 
-  const OverheadReport r = compute_overheads(p, in);
+  const OverheadReport r = compute_overheads(obs::build_trace(p), in);
   EXPECT_DOUBLE_EQ(r.task_exec_s, 100.0);
   EXPECT_DOUBLE_EQ(r.staging_s, 2.0);
   EXPECT_DOUBLE_EQ(r.rts_teardown_s, 15.0);
@@ -615,8 +615,8 @@ TEST(Overheads, TitanHostFactorShrinksEnTKOverheads) {
   vm.host.factor = 1.0;
   OverheadInputs titan = vm;
   titan.host.factor = 0.3;
-  const OverheadReport rv = compute_overheads(p, vm);
-  const OverheadReport rt = compute_overheads(p, titan);
+  const OverheadReport rv = compute_overheads(obs::build_trace(p), vm);
+  const OverheadReport rt = compute_overheads(obs::build_trace(p), titan);
   EXPECT_LT(rt.entk_setup_s, rv.entk_setup_s);
   EXPECT_LT(rt.entk_mgmt_s, rv.entk_mgmt_s);
   EXPECT_LT(rt.entk_teardown_s, rv.entk_teardown_s);
@@ -626,7 +626,7 @@ TEST(Overheads, TitanHostFactorShrinksEnTKOverheads) {
 TEST(Overheads, EmptyProfilerYieldsZeroWorkloadTimes) {
   Profiler p;
   OverheadInputs in;
-  const OverheadReport r = compute_overheads(p, in);
+  const OverheadReport r = compute_overheads(obs::build_trace(p), in);
   EXPECT_DOUBLE_EQ(r.task_exec_s, 0.0);
   EXPECT_DOUBLE_EQ(r.staging_s, 0.0);
   EXPECT_DOUBLE_EQ(r.rts_overhead_s, 0.0);

@@ -82,7 +82,7 @@ TEST(EventParse, MalformedPayloadsAreRejectedNotFatal) {
 TEST(ResultViewStats, CountsAndStreamingStatsPerGroup) {
   ResultView view;
   for (int i = 1; i <= 5; ++i) {
-    view.ingest(*Event::parse(task_event("t" + std::to_string(i), "g",
+    view.ingest(*Event::parse(task_event('t' + std::to_string(i), "g",
                                          "DONE", i, "v")));
   }
   view.ingest(*Event::parse(task_event("t6", "g", "FAILED")));

@@ -111,7 +111,7 @@ TEST(Resume, FullyCompletedStageIsSkippedEntirely) {
   auto pipeline = std::make_shared<Pipeline>("p");
   auto s1 = std::make_shared<Stage>("s1");
   for (int i = 0; i < 3; ++i) {
-    auto t = std::make_shared<Task>("t" + std::to_string(i));
+    auto t = std::make_shared<Task>('t' + std::to_string(i));
     t->duration_s = 0.2;
     t->function = [stage1_runs] {
       ++*stage1_runs;
@@ -154,7 +154,7 @@ TEST(Resume, RecoveredTasksAreCommittedDoneByTheTypedPath) {
   auto runs = std::make_shared<std::atomic<int>>(0);
   auto pipeline = std::make_shared<Pipeline>("p");
   for (int s = 0; s < 2; ++s) {
-    auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+    auto stage = std::make_shared<Stage>('s' + std::to_string(s));
     for (int i = 0; i < 3; ++i) {
       auto t = std::make_shared<Task>("t");
       t->duration_s = 0.2;
@@ -429,7 +429,7 @@ TEST(MultiPilot, AggregatesStatsAndHealth) {
   std::vector<rts::TaskUnit> units;
   for (int i = 0; i < 6; ++i) {
     rts::TaskUnit u;
-    u.uid = "u" + std::to_string(i);
+    u.uid = 'u' + std::to_string(i);
     u.cores = 1;
     u.duration_s = 0.5;
     units.push_back(std::move(u));
@@ -497,7 +497,7 @@ TEST(Cancellation, CancelMovesLiveObjectsToCanceled) {
   auto pipeline = std::make_shared<Pipeline>("long");
   auto stage = std::make_shared<Stage>("s");
   for (int i = 0; i < 4; ++i) {
-    auto t = std::make_shared<Task>("t" + std::to_string(i));
+    auto t = std::make_shared<Task>('t' + std::to_string(i));
     t->duration_s = 5000.0;  // 0.5 s wall at 1e-4: plenty to cancel into
     stage->add_task(t);
   }

@@ -32,7 +32,7 @@ PipelinePtr long_pipeline(int tasks, double duration_s) {
   auto p = std::make_shared<Pipeline>("p");
   auto s = std::make_shared<Stage>("s");
   for (int i = 0; i < tasks; ++i) {
-    auto t = std::make_shared<Task>("t" + std::to_string(i));
+    auto t = std::make_shared<Task>('t' + std::to_string(i));
     t->executable = "sleep";
     t->duration_s = duration_s;
     s->add_task(t);

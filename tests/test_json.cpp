@@ -177,7 +177,7 @@ Value generate(int seed, int depth = 0) {
     case 1: return Value(seed % 2 == 0);
     case 2: return Value(std::int64_t{seed} * 1234567 - 42);
     case 3: return Value(seed * 0.37 - 1.5);
-    case 4: return Value("s" + std::to_string(seed) + "\n\"\\x");
+    case 4: return Value('s' + std::to_string(seed) + "\n\"\\x");
     case 5: {
       Value arr;
       for (int i = 0; i < seed % 4 + 1; ++i) {
@@ -188,7 +188,7 @@ Value generate(int seed, int depth = 0) {
     default: {
       Value obj;
       for (int i = 0; i < seed % 3 + 1; ++i) {
-        obj["k" + std::to_string(i)] = generate(seed * 13 + i, depth + 1);
+        obj['k' + std::to_string(i)] = generate(seed * 13 + i, depth + 1);
       }
       return obj;
     }

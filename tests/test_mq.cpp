@@ -412,7 +412,7 @@ TEST(Broker, JournalRecoversUnackedMessages) {
     b.declare_queue("durable", {.durable = true});
     b.declare_queue("volatile", {.durable = false});
     for (int i = 0; i < 5; ++i) {
-      b.publish("durable", text_message("d" + std::to_string(i)));
+      b.publish("durable", text_message('d' + std::to_string(i)));
     }
     b.publish("volatile", text_message("gone"));
     // Consume and ack two of the durable messages.
@@ -430,7 +430,7 @@ TEST(Broker, JournalRecoversUnackedMessages) {
   for (int i = 2; i < 5; ++i) {
     auto d = recovered.get("durable", 0.0);
     ASSERT_TRUE(d);
-    EXPECT_EQ(d->message.body(), "d" + std::to_string(i));
+    EXPECT_EQ(d->message.body(), 'd' + std::to_string(i));
   }
   EXPECT_FALSE(recovered.get("durable", 0.0).has_value());
 }
@@ -727,7 +727,7 @@ TEST(Broker, GroupCommitCleanCloseLosesNothing) {
     journal = b.journal_path();
     b.declare_queue("q", {.durable = true});
     for (int i = 0; i < 8; ++i) {
-      b.publish("q", text_message("m" + std::to_string(i)));
+      b.publish("q", text_message('m' + std::to_string(i)));
     }
     auto d = b.get("q", 0.0);
     ASSERT_TRUE(d);
@@ -738,7 +738,7 @@ TEST(Broker, GroupCommitCleanCloseLosesNothing) {
   for (int i = 1; i < 8; ++i) {
     auto d = recovered.get("q", 0.0);
     ASSERT_TRUE(d);
-    EXPECT_EQ(d->message.body(), "m" + std::to_string(i));
+    EXPECT_EQ(d->message.body(), 'm' + std::to_string(i));
   }
 }
 
@@ -749,7 +749,7 @@ TEST(Broker, CrashMidBatchReplaysFlushedRecordsExactlyOnce) {
   b.declare_queue("q", {.durable = true});
   // Five publishes reach disk through an explicit barrier...
   for (int i = 0; i < 5; ++i) {
-    b.publish("q", text_message("m" + std::to_string(i)));
+    b.publish("q", text_message('m' + std::to_string(i)));
   }
   ASSERT_NE(b.journal_writer(), nullptr);
   b.journal_writer()->flush();
@@ -779,7 +779,7 @@ TEST(Broker, CrashMidBatchReplaysFlushedRecordsExactlyOnce) {
   for (int i = 2; i < 5; ++i) {
     auto d = recovered.get("q", 0.0);
     ASSERT_TRUE(d);
-    EXPECT_EQ(d->message.body(), "m" + std::to_string(i));
+    EXPECT_EQ(d->message.body(), 'm' + std::to_string(i));
   }
   EXPECT_FALSE(recovered.get("q", 0.0).has_value());
 }
@@ -822,16 +822,16 @@ TEST_P(ShardedBroker, PublishGetAckAcrossManyQueues) {
   Broker b("sh", "", {}, GetParam());
   constexpr int kQueues = 16;
   for (int q = 0; q < kQueues; ++q) {
-    b.declare_queue("q" + std::to_string(q));
+    b.declare_queue('q' + std::to_string(q));
   }
   for (int q = 0; q < kQueues; ++q) {
     for (int i = 0; i <= q; ++i) {
-      b.publish("q" + std::to_string(q),
+      b.publish('q' + std::to_string(q),
                 text_message(std::to_string(q) + ":" + std::to_string(i)));
     }
   }
   for (int q = 0; q < kQueues; ++q) {
-    const std::string name = "q" + std::to_string(q);
+    const std::string name = 'q' + std::to_string(q);
     for (int i = 0; i <= q; ++i) {
       auto d = b.get(name, 0.0);
       ASSERT_TRUE(d);
@@ -850,7 +850,7 @@ TEST_P(ShardedBroker, SequenceNumbersUniqueAcrossShards) {
   Broker b("sh", "", {}, GetParam());
   std::set<std::uint64_t> seqs;
   for (int q = 0; q < 8; ++q) {
-    const std::string name = "q" + std::to_string(q);
+    const std::string name = 'q' + std::to_string(q);
     b.declare_queue(name);
     for (int i = 0; i < 8; ++i) b.publish(name, text_message("x"));
     while (auto d = b.get(name, 0.0)) {
@@ -866,16 +866,16 @@ TEST_P(ShardedBroker, ConcurrentTrafficAcrossShardsLosesNothing) {
   Broker b("sh", "", {}, GetParam());
   constexpr int kQueues = 4;
   constexpr int kPerQueue = 300;
-  for (int q = 0; q < kQueues; ++q) b.declare_queue("w" + std::to_string(q));
+  for (int q = 0; q < kQueues; ++q) b.declare_queue('w' + std::to_string(q));
   std::atomic<int> consumed{0};
   std::vector<std::thread> threads;
   for (int q = 0; q < kQueues; ++q) {
     threads.emplace_back([&b, q] {
-      const std::string name = "w" + std::to_string(q);
+      const std::string name = 'w' + std::to_string(q);
       for (int i = 0; i < kPerQueue; ++i) b.publish(name, text_message("m"));
     });
     threads.emplace_back([&b, &consumed, q] {
-      const std::string name = "w" + std::to_string(q);
+      const std::string name = 'w' + std::to_string(q);
       int got = 0;
       while (got < kPerQueue) {
         auto d = b.get(name, 0.001);
@@ -908,7 +908,7 @@ TEST_P(ShardedBroker, DepthSnapshotParityWithSingleShard) {
   Broker sharded("many", "", {}, GetParam());
   for (Broker* b : {&single, &sharded}) {
     for (int q = 0; q < 12; ++q) {
-      const std::string name = "p" + std::to_string(q);
+      const std::string name = 'p' + std::to_string(q);
       b->declare_queue(name);
       for (int i = 0; i < q; ++i) b->publish(name, text_message("x"));
     }
@@ -948,7 +948,7 @@ TEST_P(ShardedBroker, JournalFilePerShardAndRecoveryAcrossLayouts) {
       EXPECT_TRUE(std::filesystem::exists(path));
     }
     for (int q = 0; q < kQueues; ++q) {
-      const std::string name = "d" + std::to_string(q);
+      const std::string name = 'd' + std::to_string(q);
       b.declare_queue(name, {.durable = true});
       for (int i = 0; i < 3; ++i) {
         b.publish(name, text_message(name + ":" + std::to_string(i)));
@@ -967,7 +967,7 @@ TEST_P(ShardedBroker, JournalFilePerShardAndRecoveryAcrossLayouts) {
   Broker recovered("shj2", "", {}, 2);
   EXPECT_EQ(recovered.recover(journal), std::size_t{kQueues * 2});
   for (int q = 0; q < kQueues; ++q) {
-    const std::string name = "d" + std::to_string(q);
+    const std::string name = 'd' + std::to_string(q);
     for (int i = 1; i < 3; ++i) {
       auto d = recovered.get(name, 0.0);
       ASSERT_TRUE(d) << name;

@@ -207,7 +207,7 @@ TEST_F(LoopbackTest, PublishGetAckRoundTrip) {
 TEST_F(LoopbackTest, BatchOpsMoveWholeChunks) {
   std::vector<mq::Message> batch;
   for (int i = 0; i < 10; ++i) {
-    batch.push_back(text_message("q.t", "m" + std::to_string(i)));
+    batch.push_back(text_message("q.t", 'm' + std::to_string(i)));
   }
   const std::uint64_t last_seq = client_->publish_batch("q.t", std::move(batch));
   EXPECT_GT(last_seq, 0u);
@@ -216,7 +216,7 @@ TEST_F(LoopbackTest, BatchOpsMoveWholeChunks) {
   ASSERT_EQ(got.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(text_of(got[static_cast<std::size_t>(i)]),
-              "m" + std::to_string(i));
+              'm' + std::to_string(i));
   }
   std::vector<std::uint64_t> tags;
   for (const mq::Delivery& d : got) tags.push_back(d.delivery_tag);
@@ -449,9 +449,9 @@ AppManagerConfig fast_config() {
 PipelinePtr make_pipeline(int stages, int tasks_per_stage) {
   auto p = std::make_shared<Pipeline>("p");
   for (int s = 0; s < stages; ++s) {
-    auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+    auto stage = std::make_shared<Stage>('s' + std::to_string(s));
     for (int t = 0; t < tasks_per_stage; ++t) {
-      auto task = std::make_shared<Task>("t" + std::to_string(t));
+      auto task = std::make_shared<Task>('t' + std::to_string(t));
       task->executable = "sleep";
       task->duration_s = 5.0;
       stage->add_task(task);

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "src/analytics/analysis.hpp"
 #include "src/core/app_manager.hpp"
 #include "src/json/json.hpp"
 
@@ -159,6 +160,18 @@ TEST(Metrics, DumpJsonlRoundTripsThroughParser) {
   EXPECT_TRUE(saw_counter);
 }
 
+TEST(Metrics, DumpJsonlReportsWriteErrors) {
+  obs::MetricsRegistry reg;
+  reg.counter("mq.published").add(1);
+  try {
+    reg.dump_jsonl("/dev/full", 1000);
+    FAIL() << "writing to /dev/full must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
+}
+
 // -------------------------------------------------------------- tracer --
 
 ProfileEvent ev(std::int64_t wall_us, const std::string& component,
@@ -301,7 +314,7 @@ TEST(Tracer, ChromeExportIsValidJsonWithMonotoneSpans) {
   };
   const obs::Trace t = obs::build_trace(events, links);
   const std::string path = fresh_dir() + "/trace.json";
-  obs::write_chrome_trace(t, path);
+  obs::write_chrome_trace(t, events, path);
 
   const json::Value doc = json::parse(slurp(path));  // throws on bad JSON
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
@@ -338,8 +351,9 @@ TEST(Tracer, SpanHistogramsFeedLatencyTable) {
 }
 
 TEST(Tracer, OverheadsFromTraceMatchProfilerCompatPath) {
-  // The exact scenario test_core checks through the Profiler overload must
-  // produce identical numbers when routed Profiler -> Trace -> overheads.
+  // The scenario test_core checks, routed Profiler -> Trace -> overheads,
+  // must give the hand-computed numbers; RunAnalysis over the same trace
+  // must agree with the report.
   Profiler p;
   p.record("rts", "rts_init_start", "", 0.0);
   p.record("rts", "rts_init_stop", "", 30.0);
@@ -356,13 +370,116 @@ TEST(Tracer, OverheadsFromTraceMatchProfilerCompatPath) {
   in.tasks_processed = 1;
   in.host.factor = 1.0;
 
-  const OverheadReport via_profiler = compute_overheads(p, in);
-  const OverheadReport via_trace = compute_overheads(obs::build_trace(p), in);
-  EXPECT_DOUBLE_EQ(via_trace.task_exec_s, via_profiler.task_exec_s);
-  EXPECT_DOUBLE_EQ(via_trace.staging_s, via_profiler.staging_s);
-  EXPECT_DOUBLE_EQ(via_trace.rts_overhead_s, via_profiler.rts_overhead_s);
-  EXPECT_DOUBLE_EQ(via_trace.rts_teardown_s, via_profiler.rts_teardown_s);
-  EXPECT_DOUBLE_EQ(via_trace.task_exec_s, 100.0);
+  const obs::Trace trace = obs::build_trace(p);
+  const OverheadReport r = compute_overheads(trace, in);
+  EXPECT_DOUBLE_EQ(r.task_exec_s, 100.0);
+  EXPECT_DOUBLE_EQ(r.staging_s, 2.0);
+  // rts_init 30 + lead-in (35-31-2=2) + lead-out (136-135=1).
+  EXPECT_DOUBLE_EQ(r.rts_overhead_s, 33.0);
+  EXPECT_DOUBLE_EQ(r.rts_teardown_s, 15.0);
+
+  const analytics::RunAnalysis a(trace);
+  EXPECT_DOUBLE_EQ(a.makespan(), r.task_exec_s);
+  EXPECT_DOUBLE_EQ(a.total_staging(), r.staging_s);
+}
+
+// ---------------------------------------------------------- trace file --
+
+TEST(TraceFile, RawEventRowsFollowTheChromeEvents) {
+  Profiler p;
+  p.record("c", "e", "u", 1.25);
+  const std::vector<ProfileEvent> events = p.events();
+  const std::string path = fresh_dir() + "/trace.json";
+  obs::write_chrome_trace(obs::build_trace(events), events, path);
+
+  const json::Value doc = json::parse(slurp(path));
+  EXPECT_TRUE(doc.at("traceEvents").is_array());
+  const json::Array& rows = doc.at("entkEvents").as_array();
+  ASSERT_EQ(rows.size(), 1u);
+  const json::Array& row = rows[0].as_array();
+  ASSERT_EQ(row.size(), 5u);
+  EXPECT_EQ(row[0].as_int(), events[0].wall_us);
+  EXPECT_DOUBLE_EQ(row[1].as_double(), 1.25);
+  EXPECT_EQ(row[2].as_string(), "c");
+  EXPECT_EQ(row[3].as_string(), "e");
+  EXPECT_EQ(row[4].as_string(), "u");
+}
+
+TEST(TraceFile, RawEventsRoundTripSpecialCharacters) {
+  Profiler p;
+  // Commas, quotes, a newline, a backslash and a control character must
+  // all survive the file; so must every wall_us and virtual_s bit.
+  p.record("comp,with,commas", "event \"quoted\"", "uid\nnewline", 2.5);
+  p.record("back\\slash", "ctrl\x01" "char", "u", 0.1 + 0.2);
+  p.record("plain", "e", "u");
+  const std::vector<ProfileEvent> events = p.events();
+  const std::string path = fresh_dir() + "/trace.json";
+  obs::write_chrome_trace(obs::build_trace(events), events, path);
+
+  const std::vector<ProfileEvent> back = obs::read_trace_events(path);
+  ASSERT_EQ(back.size(), 3u);
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].wall_us, events[i].wall_us);
+    EXPECT_EQ(back[i].virtual_s, events[i].virtual_s);  // exact
+    EXPECT_EQ(back[i].component, events[i].component);
+    EXPECT_EQ(back[i].event, events[i].event);
+    EXPECT_EQ(back[i].uid, events[i].uid);
+  }
+  EXPECT_EQ(back[0].component, "comp,with,commas");
+  EXPECT_EQ(back[0].event, "event \"quoted\"");
+  EXPECT_EQ(back[0].uid, "uid\nnewline");
+  EXPECT_EQ(back[1].component, "back\\slash");
+  EXPECT_EQ(back[1].event, "ctrl\x01" "char");
+  EXPECT_EQ(back[1].virtual_s, 0.1 + 0.2);
+  EXPECT_EQ(back[2].virtual_s, -1.0);
+}
+
+TEST(TraceFile, ReadTraceEventsRejectsGarbage) {
+  const std::string dir = fresh_dir();
+  const auto file = [&dir](const std::string& name, const std::string& body) {
+    const std::string path = dir + "/" + name;
+    std::ofstream(path) << body;
+    return path;
+  };
+  const auto rows = [](const std::string& rows_json) {
+    return R"({"traceEvents":[],"entkEvents":[)" + rows_json + "]}";
+  };
+  // Malformed rows: non-numeric or fractional wall_us, a missing field, a
+  // non-string name.
+  for (const char* bad :
+       {R"(["not_a_number",1,"c","e","u"])", R"([1.5,1,"c","e","u"])",
+        R"([1,1,"c","e"])", R"([1,1,"c","e",7])", R"({"wall_us":1})"}) {
+    EXPECT_THROW(obs::read_trace_events(file("row.json", rows(bad))),
+                 EnTKError)
+        << bad;
+  }
+  // No raw-event array: a bare Chrome trace, a CSV, truncated JSON.
+  EXPECT_THROW(obs::read_trace_events(file("chrome.json",
+                                           R"({"traceEvents":[]})")),
+               EnTKError);
+  EXPECT_THROW(
+      obs::read_trace_events(file(
+          "profile.csv", "wall_us,virtual_s,component,event,uid\n1,1,c,e,u\n")),
+      EnTKError);
+  const std::string whole = rows(R"([1,1,"c","e","u"])");
+  EXPECT_THROW(
+      obs::read_trace_events(file("truncated.json", whole.substr(0, 40))),
+      EnTKError);
+  EXPECT_THROW(obs::read_trace_events("/no/such/file.json"), EnTKError);
+}
+
+TEST(TraceFile, WriteErrorsNameThePath) {
+  const std::vector<ProfileEvent> events = {
+      ev(100, "wfprocessor", "task_enqueued", "a"),
+      ev(200, "wfprocessor", "task_done", "a"),
+  };
+  try {
+    obs::write_chrome_trace(obs::build_trace(events), events, "/dev/full");
+    FAIL() << "writing to /dev/full must throw";
+  } catch (const EnTKError& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
 }
 
 // --------------------------------------------------------- integration --
@@ -382,7 +499,7 @@ AppManagerConfig fast_config() {
 PipelinePtr make_pipeline(const std::string& name, int stages, int tasks) {
   auto p = std::make_shared<Pipeline>(name);
   for (int s = 0; s < stages; ++s) {
-    auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+    auto stage = std::make_shared<Stage>('s' + std::to_string(s));
     for (int t = 0; t < tasks; ++t) {
       auto task = std::make_shared<Task>("t");
       task->executable = "sleep";
@@ -449,7 +566,9 @@ TEST(ObsIntegration, EveryCompletedTaskHasFullChainInExportedTrace) {
     EXPECT_GE(dur, 0);
     // Chains are contiguous, so per-uid events (written in chain order)
     // must never move backwards in time.
-    if (last_end_per_uid.count(uid)) EXPECT_GE(ts, last_end_per_uid[uid]);
+    if (last_end_per_uid.count(uid)) {
+      EXPECT_GE(ts, last_end_per_uid[uid]);
+    }
     last_end_per_uid[uid] = ts + dur;
     ++spans_per_uid[uid];
   }
@@ -482,6 +601,29 @@ TEST(ObsIntegration, EveryCompletedTaskHasFullChainInExportedTrace) {
     ++lines;
   }
   EXPECT_GT(lines, 0u);
+}
+
+TEST(ObsIntegration, ExportedTraceFileRestitchesToTheSameChains) {
+  AppManagerConfig cfg = fast_config();
+  cfg.obs.trace_out = fresh_dir() + "/trace.json";
+  AppManager amgr(cfg);
+  amgr.add_pipelines({make_pipeline("p0", 2, 3)});
+  amgr.run();
+  ASSERT_EQ(amgr.tasks_done(), 6u);
+
+  const obs::Trace back =
+      obs::build_trace(obs::read_trace_events(cfg.obs.trace_out));
+  ASSERT_EQ(back.tasks.size(), amgr.trace().tasks.size());
+  for (const auto& [uid, task] : amgr.trace().tasks) {
+    const obs::TaskTrace& t = back.tasks.at(uid);
+    ASSERT_EQ(t.spans.size(), task.spans.size()) << uid;
+    for (std::size_t i = 0; i < t.spans.size(); ++i) {
+      EXPECT_EQ(t.spans[i].name, task.spans[i].name);
+      EXPECT_EQ(t.spans[i].start_us, task.spans[i].start_us);
+      EXPECT_EQ(t.spans[i].end_us, task.spans[i].end_us);
+    }
+  }
+  EXPECT_EQ(back.exec_span_s(), amgr.trace().exec_span_s());
 }
 
 TEST(ObsIntegration, NonDurableRunAvoidsAllPayloadSerialization) {

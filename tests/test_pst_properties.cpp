@@ -39,9 +39,9 @@ TEST_P(PstShape, EveryTaskRunsExactlyOnceAndStatesFinalize) {
   AppManager amgr(fast_config());
   std::vector<PipelinePtr> app;
   for (int p = 0; p < pipelines; ++p) {
-    auto pipeline = std::make_shared<Pipeline>("p" + std::to_string(p));
+    auto pipeline = std::make_shared<Pipeline>('p' + std::to_string(p));
     for (int s = 0; s < stages; ++s) {
-      auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+      auto stage = std::make_shared<Stage>('s' + std::to_string(s));
       for (int t = 0; t < tasks; ++t) {
         auto task = std::make_shared<Task>("t");
         task->duration_s = 0.5;
@@ -95,7 +95,7 @@ TEST_P(StageSequencing, StagesNeverOverlapWithinAPipeline) {
   AppManager amgr(fast_config());
   auto pipeline = std::make_shared<Pipeline>("seq");
   for (int s = 0; s < stages; ++s) {
-    auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+    auto stage = std::make_shared<Stage>('s' + std::to_string(s));
     for (int t = 0; t < 3; ++t) {
       auto task = std::make_shared<Task>("t");
       task->duration_s = 0.3;

@@ -22,7 +22,7 @@ TaskPtr make_sleep_task(double duration_s) {
 PipelinePtr make_pipeline(int stages, int tasks_per_stage, double duration_s) {
   auto p = std::make_shared<Pipeline>("p");
   for (int s = 0; s < stages; ++s) {
-    auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+    auto stage = std::make_shared<Stage>('s' + std::to_string(s));
     for (int t = 0; t < tasks_per_stage; ++t) {
       stage->add_task(make_sleep_task(duration_s));
     }

@@ -492,7 +492,7 @@ TEST_F(TenantLoopbackTest, RateQuotaThrottlesThenAdmits) {
   auto client = Client("paced");
   client->declare_queue("q.p", {});
   for (int i = 0; i < 24; ++i) {
-    client->publish("q.p", text_message("q.p", "m" + std::to_string(i)));
+    client->publish("q.p", text_message("q.p", 'm' + std::to_string(i)));
   }
   // Every message eventually landed...
   const auto got = client->get_batch("q.p", 24, 1.0);
@@ -528,7 +528,7 @@ TEST_F(TenantLoopbackTest, DepthQuotaBlocksUntilBacklogDrains) {
   auto client = Client("bounded", /*retry_deadline_s=*/0.4);
   client->declare_queue("q.b", {});
   for (int i = 0; i < 3; ++i) {
-    client->publish("q.b", text_message("q.b", "m" + std::to_string(i)));
+    client->publish("q.b", text_message("q.b", 'm' + std::to_string(i)));
   }
   // Backlog full (ready counts): the 4th publish is backpressured.
   EXPECT_THROW(client->publish("q.b", text_message("q.b", "overflow")),
@@ -602,7 +602,7 @@ TEST_F(TenantLoopbackTest, QuotaNeverTouchesOtherTenants) {
                mq::QuotaError);
   // The other tenant's identically-named queue is unaffected.
   for (int i = 0; i < 16; ++i) {
-    free_rider->publish("q.x", text_message("q.x", "m" + std::to_string(i)));
+    free_rider->publish("q.x", text_message("q.x", 'm' + std::to_string(i)));
   }
   EXPECT_EQ(free_rider->get_batch("q.x", 16, 1.0).size(), 16u);
   capped->close();

@@ -1,6 +1,8 @@
 // End-to-end tests of the entk_run CLI: JSON workflow in, execution
-// through the full stack, exit code out. The binary paths are injected by
-// CMake as ENTK_RUN_BINARY / ENTK_BROKER_BINARY.
+// through the full stack, exit code out; plus entk_trace reading the trace
+// file entk_run writes. The binary and workflow paths are injected by CMake
+// as ENTK_RUN_BINARY / ENTK_BROKER_BINARY / ENTK_TRACE_BINARY /
+// ENTK_WORKFLOWS_DIR.
 #include <gtest/gtest.h>
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -20,6 +22,8 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.hpp"
@@ -30,6 +34,12 @@
 #endif
 #ifndef ENTK_BROKER_BINARY
 #define ENTK_BROKER_BINARY "entk_broker"
+#endif
+#ifndef ENTK_TRACE_BINARY
+#define ENTK_TRACE_BINARY "entk_trace"
+#endif
+#ifndef ENTK_WORKFLOWS_DIR
+#define ENTK_WORKFLOWS_DIR "examples/workflows"
 #endif
 
 namespace {
@@ -352,6 +362,67 @@ TEST(EntkRun, RejectsMissingAndMalformedInput) {
   EXPECT_EQ(run_tool(""), 2);  // usage
   // Valid JSON but no pipelines key.
   EXPECT_EQ(run_tool(write_workflow("{\"resource\": {}}")), 2);
+}
+
+/// Run entk_trace with `args`; returns its exit code and stdout+stderr.
+std::pair<int, std::string> run_entk_trace(const std::string& args) {
+  const std::string cmd = std::string(ENTK_TRACE_BINARY) + " " + args + " 2>&1";
+  std::FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, ""};
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const int status = ::pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+TEST(EntkTrace, SummarizesTheTraceFileEntkRunWrote) {
+  const std::string trace = ::testing::TempDir() + "/entk_trace_" +
+                            std::to_string(::getpid()) + ".json";
+  ASSERT_EQ(run_tool(std::string(ENTK_WORKFLOWS_DIR) +
+                     "/ensemble.json --trace-out " + trace),
+            0);
+  const auto [code, out] = run_entk_trace(trace + " --summarize");
+  ASSERT_EQ(code, 0) << out;
+  // One row per chain segment plus the whole chain, each over the
+  // workflow's 6 tasks.
+  for (const char* span :
+       {"enqueue", "schedule", "exec", "sync", "done", "total"}) {
+    bool found = false;
+    std::size_t pos = 0;
+    while (pos < out.size()) {
+      const std::size_t eol = out.find('\n', pos);
+      const std::string line = out.substr(pos, eol - pos);
+      pos = eol == std::string::npos ? out.size() : eol + 1;
+      char name[32];
+      unsigned long long count = 0;
+      if (std::sscanf(line.c_str(), " %31s %llu", name, &count) == 2 &&
+          std::string(name) == span) {
+        found = true;
+        EXPECT_EQ(count, 6u) << line;
+      }
+    }
+    EXPECT_TRUE(found) << span << " row missing from:\n" << out;
+  }
+}
+
+TEST(EntkTrace, RejectsFilesThatAreNotTraceFiles) {
+  const std::string csv =
+      write_workflow("wall_us,virtual_s,component,event,uid\n1,1,c,e,u\n");
+  auto [code, out] = run_entk_trace(csv + " --summarize");
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(out.find("entk_trace: "), std::string::npos) << out;
+
+  const std::string truncated =
+      write_workflow(R"({"traceEvents":[],"entkEvents":[[1,1,"c")");
+  std::tie(code, out) = run_entk_trace(truncated + " --summarize");
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(out.find("entk_trace: "), std::string::npos) << out;
+
+  std::tie(code, out) = run_entk_trace("/nonexistent/trace.json --summarize");
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(out.find("/nonexistent/trace.json"), std::string::npos) << out;
+  EXPECT_EQ(run_entk_trace("").first, 2);  // usage
 }
 
 }  // namespace

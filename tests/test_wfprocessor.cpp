@@ -42,7 +42,7 @@ class WfpFixture : public ::testing::Test {
   PipelinePtr make_app(int stages, int tasks) {
     auto pipeline = std::make_shared<Pipeline>("p");
     for (int s = 0; s < stages; ++s) {
-      auto stage = std::make_shared<Stage>("s" + std::to_string(s));
+      auto stage = std::make_shared<Stage>('s' + std::to_string(s));
       for (int t = 0; t < tasks; ++t) {
         auto task = std::make_shared<Task>("t");
         task->duration_s = 1.0;

@@ -104,7 +104,7 @@ std::vector<PipelinePtr> parse_pipelines(const json::Value& doc) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: entk_run <workflow.json> [--profile trace.csv]\n"
+                 "usage: entk_run <workflow.json>\n"
                  "                [--component-restart-limit N]\n"
                  "                [--trace-out trace.json]\n"
                  "                [--metrics-out metrics.jsonl]\n"
@@ -116,13 +116,12 @@ int main(int argc, char** argv) {
                  "                [--rules rules.json]\n"
                  "                [--ensemble-journal decisions.jsonl]\n"
                  "       executes the PST application described in the file;\n"
-                 "       --profile dumps the run's event trace as CSV for\n"
-                 "       post-mortem analysis (src/analytics);\n"
                  "       --component-restart-limit caps how often the\n"
                  "       supervisor restarts a crashed EnTK component before\n"
                  "       failing the run (default 2);\n"
                  "       --trace-out writes the causal task trace as Chrome\n"
-                 "       trace_event JSON (chrome://tracing / Perfetto);\n"
+                 "       trace_event JSON (chrome://tracing / Perfetto) that\n"
+                 "       also carries the raw events for entk_trace;\n"
                  "       --metrics-out writes the metrics registry (broker,\n"
                  "       component, RTS counters and latency histograms) as\n"
                  "       JSONL and enables live metrics for the run;\n"
@@ -152,7 +151,6 @@ int main(int argc, char** argv) {
                  "       JSONL decision record for replay/debugging\n");
     return 2;
   }
-  std::string profile_path;
   std::string trace_out;
   std::string metrics_out;
   std::string journal_dir;
@@ -169,7 +167,6 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]) == "--workers") remote_workers = true;
   }
   for (int i = 2; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--profile") profile_path = argv[i + 1];
     if (std::string(argv[i]) == "--trace-out") trace_out = argv[i + 1];
     if (std::string(argv[i]) == "--metrics-out") metrics_out = argv[i + 1];
     if (std::string(argv[i]) == "--journal-dir") journal_dir = argv[i + 1];
@@ -265,11 +262,6 @@ int main(int argc, char** argv) {
     appman.add_pipelines(parse_pipelines(doc));
     appman.run();
 
-    if (!profile_path.empty()) {
-      appman.profiler()->dump_csv(profile_path);
-      std::printf("entk_run: profile trace written to %s\n",
-                  profile_path.c_str());
-    }
     const OverheadReport report = appman.overheads();
     std::printf("entk_run: %zu done, %zu failed, %zu resubmissions\n",
                 report.tasks_done, report.tasks_failed, report.resubmissions);

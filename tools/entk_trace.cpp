@@ -1,12 +1,11 @@
-// entk_trace: post-mortem analysis of a recorded profile trace.
+// entk_trace: post-mortem analysis of a recorded trace file.
 //
-// Reads a profiler CSV (entk_run --profile, Profiler::dump_csv), stitches
-// it into the causal task-span model (src/obs/trace.hpp) and either
-// summarizes the per-span latency distribution or re-exports the run as
-// Chrome trace_event JSON:
+// Reads the raw events of a trace file (entk_run --trace-out, entk_worker
+// --trace-out, obs::write_chrome_trace), stitches them into the causal
+// task-span model (src/obs/trace.hpp) and summarizes the per-span latency
+// distribution:
 //
-//   entk_trace run.csv --summarize
-//   entk_trace run.csv --trace-out run.trace.json
+//   entk_trace run.trace.json --summarize
 //
 // --summarize prints one row per chain segment (enqueue / schedule / exec /
 // sync / done) with count, p50, p95 and max in microseconds, derived from
@@ -17,55 +16,43 @@
 #include <string>
 
 #include "src/common/error.hpp"
-#include "src/common/profiler.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 
 int main(int argc, char** argv) {
   bool summarize = false;
-  std::string csv_path;
-  std::string trace_out;
+  std::string trace_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--summarize") == 0) {
       summarize = true;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (csv_path.empty() && argv[i][0] != '-') {
-      csv_path = argv[i];
+    } else if (trace_path.empty() && argv[i][0] != '-') {
+      trace_path = argv[i];
     } else {
-      csv_path.clear();
+      trace_path.clear();
       break;
     }
   }
-  if (csv_path.empty() || (!summarize && trace_out.empty())) {
+  if (trace_path.empty() || !summarize) {
     std::fprintf(stderr,
-                 "usage: entk_trace <profile.csv> [--summarize]\n"
-                 "                  [--trace-out trace.json]\n"
-                 "       stitches a recorded profiler CSV into the causal\n"
-                 "       task-span model; --summarize prints the per-span\n"
-                 "       latency table (count/p50/p95/max us), --trace-out\n"
-                 "       exports Chrome trace_event JSON\n");
+                 "usage: entk_trace <trace.json> --summarize\n"
+                 "       stitches the raw events of a trace file (written by\n"
+                 "       entk_run/entk_worker --trace-out) into the causal\n"
+                 "       task-span model and prints the per-span latency\n"
+                 "       table (count/p50/p95/max us)\n");
     return 2;
   }
 
   try {
     const std::vector<entk::ProfileEvent> events =
-        entk::read_profile_csv(csv_path);
+        entk::obs::read_trace_events(trace_path);
     const entk::obs::Trace trace = entk::obs::build_trace(events);
     std::printf("entk_trace: %zu events, %zu tasks, %zu stages, "
                 "%zu pipelines\n",
                 events.size(), trace.tasks.size(), trace.stages.size(),
                 trace.pipelines.size());
-    if (summarize) {
-      entk::obs::MetricsRegistry registry;
-      entk::obs::fill_span_histograms(trace, registry);
-      std::printf("%s", entk::obs::span_latency_table(registry).c_str());
-    }
-    if (!trace_out.empty()) {
-      entk::obs::write_chrome_trace(trace, trace_out);
-      std::printf("entk_trace: Chrome trace written to %s\n",
-                  trace_out.c_str());
-    }
+    entk::obs::MetricsRegistry registry;
+    entk::obs::fill_span_histograms(trace, registry);
+    std::printf("%s", entk::obs::span_latency_table(registry).c_str());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "entk_trace: %s\n", e.what());

@@ -17,6 +17,7 @@
 #include <cstring>
 
 #include "src/common/error.hpp"
+#include "src/obs/trace.hpp"
 #include "src/worker/worker_daemon.hpp"
 
 namespace {
@@ -34,7 +35,7 @@ int usage() {
       "                   [--worker-id ID] [--tenant ID] [--cores N]\n"
       "                   [--sim-ci RESOURCE] [--clock-scale S]\n"
       "                   [--batch N] [--max-in-flight N]\n"
-      "                   [--drain-timeout S] [--profile OUT.csv]\n"
+      "                   [--drain-timeout S] [--trace-out OUT.json]\n"
       "       executes tasks from the Pending queue of the entk_broker at\n"
       "       HOST:PORT (required). --cores N sets the worker's pilot\n"
       "       size (default 4); --sim-ci names the simulated CI profile\n"
@@ -44,8 +45,9 @@ int usage() {
       "       --max-in-flight caps unfinished units held at once\n"
       "       (0 = 2 x cores, the default). --drain-timeout bounds the\n"
       "       graceful-shutdown wait for in-flight work (default 10).\n"
-      "       --profile dumps this worker's profiler events as CSV on\n"
-      "       exit, for cross-process trace stitching.\n"
+      "       --trace-out writes this worker's trace file on exit (the\n"
+      "       format entk_run --trace-out writes; read it with\n"
+      "       entk_trace).\n"
       "       --tenant binds this worker inside tenant ID's namespace on\n"
       "       a shared daemon — it drains that tenant's queues only (must\n"
       "       match the ensemble's entk_run --tenant).\n"
@@ -78,7 +80,7 @@ int main(int argc, char** argv) {
   using namespace entk;
 
   worker::WorkerDaemonConfig config;
-  std::string profile_out;
+  std::string trace_out;
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -113,8 +115,8 @@ int main(int argc, char** argv) {
       double timeout = 0.0;
       if (!parse_double(value, &timeout) || timeout < 0.0) return usage();
       config.drain_timeout_s = timeout;
-    } else if (flag == "--profile") {
-      profile_out = value;
+    } else if (flag == "--trace-out") {
+      trace_out = value;
     } else {
       return usage();
     }
@@ -136,10 +138,10 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
 
     const int code = daemon.run();
-    if (!profile_out.empty()) {
-      daemon.profiler()->dump_csv(profile_out);
-      std::printf("entk_worker: profile written to %s\n",
-                  profile_out.c_str());
+    if (!trace_out.empty()) {
+      const std::vector<ProfileEvent> events = daemon.profiler()->events();
+      obs::write_chrome_trace(obs::build_trace(events), events, trace_out);
+      std::printf("entk_worker: trace written to %s\n", trace_out.c_str());
     }
     std::printf("entk_worker: %s exiting (%zu task(s) done)\n",
                 daemon.worker_id().c_str(), daemon.runtime().tasks_done());

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate an EnTK Chrome trace export against tools/chrome_trace.schema.json.
+"""Validate an EnTK trace file against tools/chrome_trace.schema.json.
 
 Usage: validate_trace.py <trace.json> [schema.json]
 
@@ -33,6 +33,16 @@ def structural_check(doc):
                     f"{where} bad {key}"
         else:
             assert isinstance(e.get("args"), dict), f"{where} metadata needs args"
+    rows = doc.get("entkEvents")
+    assert isinstance(rows, list), "entkEvents must be an array"
+    types = (int, (int, float), str, str, str)
+    for i, row in enumerate(rows):
+        where = f"entkEvents[{i}]"
+        assert isinstance(row, list) and len(row) == 5, \
+            f"{where} must be [wall_us, virtual_s, component, event, uid]"
+        for field, expected in zip(row, types):
+            assert isinstance(field, expected) and not isinstance(field, bool), \
+                f"{where} bad field {field!r}"
 
 
 def main():
@@ -55,7 +65,8 @@ def main():
         mode = "structural fallback"
     n_x = sum(1 for e in doc["traceEvents"] if e["ph"] == "X")
     n_m = len(doc["traceEvents"]) - n_x
-    print(f"validate_trace: OK ({mode}): {n_x} spans, {n_m} metadata records")
+    print(f"validate_trace: OK ({mode}): {n_x} spans, {n_m} metadata records, "
+          f"{len(doc['entkEvents'])} raw events")
     return 0
 
 
