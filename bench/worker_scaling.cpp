@@ -89,9 +89,16 @@ Run drain_ensemble(int workers, int cores, int tasks, double duration_vs,
     if (batch.empty()) continue;
     std::vector<std::uint64_t> tags;
     tags.reserve(batch.size());
-    for (const mq::Delivery& d : batch) tags.push_back(d.delivery_tag);
+    for (const mq::Delivery& d : batch) {
+      tags.push_back(d.delivery_tag);
+      // A Done message carries one result, or a {"results": [...]} batch
+      // from a coalescing worker; count results, not messages.
+      const auto body = d.message.payload();
+      done += body->contains("results")
+                  ? static_cast<int>(body->at("results").as_array().size())
+                  : 1;
+    }
     broker->ack_batch("q.completed", tags);
-    done += static_cast<int>(batch.size());
   }
   const double elapsed = wall_now_s() - t0;
 

@@ -212,8 +212,10 @@ void Synchronizer::process(const json::Value& msg) {
     ack["applied"] = applied;
     ack["ok"] = total > 0 && applied == total;
     try {
-      broker_->publish(reply_to,
-                       mq::Message::json_body(reply_to, std::move(ack)));
+      // The requester reads the reply off its ack queue; the publish
+      // confirm tells this thread nothing, so it is not awaited.
+      broker_->publish_unconfirmed(
+          reply_to, mq::Message::json_body(reply_to, std::move(ack)));
     } catch (const MqError&) {
       // Requester is gone; nothing to do.
     }

@@ -3,8 +3,9 @@
 // The paper's components are "topology-unaware" (§II-C): they talk to the
 // broker by queue name and never care where it runs. This interface is
 // that contract made explicit — exactly the publish/get/ack slice (plus
-// the PR-1 batch variants and the restart-path requeue) that WFProcessor,
-// ExecManager and the Synchronizer use. Two implementations exist:
+// the batch variants, the unconfirmed publish and the restart-path
+// requeue) that WFProcessor, ExecManager and the Synchronizer use. Two
+// implementations exist:
 //
 //   * mq::Broker           — the in-process broker (zero-copy fast path);
 //   * net::RemoteBroker    — a TCP client speaking the src/net framed wire
@@ -18,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/mq/message.hpp"
@@ -42,6 +44,18 @@ class BrokerHandle {
   /// Throws MqError on unknown queue / closed broker.
   virtual std::uint64_t publish(const std::string& queue, Message msg) = 0;
 
+  /// Publish without waiting for the broker's confirm, for senders that
+  /// never read the sequence number (unconfirmed state syncs, sync
+  /// replies). Delivery is the same at-least-once as publish(); only the
+  /// wait moves off the caller. The default is publish(), which is all the
+  /// in-process broker needs. The remote handle pipelines it: the frame is
+  /// sent now, its confirm is collected later, and an unconfirmed frame is
+  /// resent after a reconnect. Either way, one handle's publishes arrive in
+  /// the order they were made.
+  virtual void publish_unconfirmed(const std::string& queue, Message msg) {
+    publish(queue, std::move(msg));
+  }
+
   /// Publish a batch to one queue; messages get a contiguous sequence
   /// range starting at the returned number.
   virtual std::uint64_t publish_batch(const std::string& queue,
@@ -56,6 +70,9 @@ class BrokerHandle {
                                           std::size_t max_n,
                                           double timeout_s) = 0;
 
+  /// Release a delivery. In process the result says whether the tag was
+  /// unacked; over the wire acks are pipelined, so it only says the ack was
+  /// sent (a lost one leaves the delivery to the disconnect requeue).
   virtual bool ack(const std::string& queue, std::uint64_t delivery_tag) = 0;
   virtual bool nack(const std::string& queue, std::uint64_t delivery_tag,
                     bool requeue) = 0;

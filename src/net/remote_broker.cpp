@@ -11,6 +11,7 @@
 #include <cstring>
 #include <thread>
 
+#include "src/common/log.hpp"
 #include "src/mq/tenant.hpp"
 #include "src/net/socket.hpp"
 
@@ -21,6 +22,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// Pipelined publishes in flight before publish_unconfirmed blocks.
+constexpr std::size_t kMaxUnconfirmed = 1024;
 
 std::int64_t now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -30,6 +33,10 @@ std::int64_t now_us() {
 
 std::chrono::duration<double> secs(double s) {
   return std::chrono::duration<double>(s);
+}
+
+Clock::duration ticks(double s) {
+  return std::chrono::duration_cast<Clock::duration>(secs(s));
 }
 
 }  // namespace
@@ -59,6 +66,7 @@ void RemoteBroker::set_metrics(obs::MetricsPtr metrics) {
   if (metrics_ == nullptr) {
     frames_in_ = frames_out_ = bytes_in_ = bytes_out_ = nullptr;
     reconnects_metric_ = quota_throttled_metric_ = nullptr;
+    async_errors_metric_ = resent_metric_ = nullptr;
     publish_us_ = publish_batch_us_ = get_us_ = get_batch_us_ = ack_us_ =
         ack_batch_us_ = nullptr;
     return;
@@ -69,6 +77,8 @@ void RemoteBroker::set_metrics(obs::MetricsPtr metrics) {
   bytes_out_ = &metrics_->counter("net.client.bytes_out");
   reconnects_metric_ = &metrics_->counter("net.client.reconnects");
   quota_throttled_metric_ = &metrics_->counter("net.client.quota_throttled");
+  async_errors_metric_ = &metrics_->counter("net.client.async_errors");
+  resent_metric_ = &metrics_->counter("net.client.resent");
   publish_us_ = &metrics_->histogram("net.client.publish_us");
   publish_batch_us_ = &metrics_->histogram("net.client.publish_batch_us");
   get_us_ = &metrics_->histogram("net.client.get_us");
@@ -119,14 +129,25 @@ void RemoteBroker::io_loop() {
           send_frame(declare);
         }
       }
-      last_pong_us_.store(now_us(), std::memory_order_relaxed);
-      connected_.store(true, std::memory_order_release);
+      {
+        // Then the unconfirmed window, in corr order. connected_ flips
+        // under the same mutex, so no caller sends one of these frames
+        // on this connection a second time.
+        std::lock_guard<std::mutex> lk(window_mutex_);
+        for (const auto& [corr, frame] : window_) send_frame(frame);
+        if (resent_metric_ != nullptr) resent_metric_->add(window_.size());
+        last_pong_us_.store(now_us(), std::memory_order_relaxed);
+        connected_.store(true, std::memory_order_release);
+      }
       conn_cv_.notify_all();
     }
 
     serve_connection(fd);
 
-    connected_.store(false, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lk(window_mutex_);
+      connected_.store(false, std::memory_order_release);
+    }
     {
       std::lock_guard<std::mutex> lk(write_mutex_);
       if (fd_ >= 0) {
@@ -201,22 +222,45 @@ void RemoteBroker::serve_connection(int fd) {
 void RemoteBroker::dispatch(Frame&& resp) {
   // Any inbound frame proves the server is alive.
   last_pong_us_.store(now_us(), std::memory_order_relaxed);
-  if (resp.corr == 0) {
+  if (resp.corr == 0 && resp.op == Op::kHeartbeat) {
     // io-thread-originated traffic: heartbeat echoes carry broker health;
-    // hello, worker-hello and re-declare acks need no handling. A refused
-    // tenant hello needs none either: the server drops the connection.
-    if (resp.op == Op::kHeartbeat) {
-      std::lock_guard<std::mutex> lk(health_mutex_);
-      last_health_ = std::move(resp.body);
-    }
+    // hello, worker-hello and re-declare acks need no handling beyond the
+    // kError report in settle(). A refused tenant hello needs none
+    // either: the server drops the connection.
+    std::lock_guard<std::mutex> lk(health_mutex_);
+    last_health_ = std::move(resp.body);
     return;
   }
-  std::lock_guard<std::mutex> lk(pending_mutex_);
-  auto it = pending_.find(resp.corr);
-  if (it == pending_.end()) return;  // caller already gave up
-  it->second.done = true;
-  it->second.response = std::move(resp);
-  pending_cv_.notify_all();
+  if (resp.corr != 0) {
+    std::lock_guard<std::mutex> lk(pending_mutex_);
+    auto it = pending_.find(resp.corr);
+    if (it != pending_.end()) {
+      it->second.done = true;
+      it->second.response = std::move(resp);
+      pending_cv_.notify_all();
+      return;
+    }
+  }
+  settle(std::move(resp));
+}
+
+void RemoteBroker::settle(Frame&& resp) {
+  {
+    std::lock_guard<std::mutex> lk(window_mutex_);
+    if (resp.corr != 0 && window_.erase(resp.corr) > 0) {
+      window_cv_.notify_all();
+    }
+  }
+  if (resp.op != Op::kError) return;
+  if (async_errors_metric_ != nullptr) async_errors_metric_->add();
+  ENTK_WARN("remote_broker") << "unawaited request " << resp.corr << " to "
+                             << config_.endpoint
+                             << " failed: " << resp.body;
+}
+
+std::size_t RemoteBroker::unconfirmed() const {
+  std::lock_guard<std::mutex> lk(window_mutex_);
+  return window_.size();
 }
 
 void RemoteBroker::fail_pending(const std::string& why) {
@@ -446,6 +490,43 @@ std::uint64_t RemoteBroker::publish_batch(const std::string& queue,
   return resp.arg;
 }
 
+void RemoteBroker::publish_unconfirmed(const std::string& queue,
+                                       mq::Message msg) {
+  if (!config_.tenant.empty()) {
+    // Only a tenant can be throttled. A throttled pipelined frame would be
+    // resent behind later frames of this handle, and callers rely on
+    // per-handle order (a state transition must reach the Synchronizer
+    // before the next one), so a tenant publishes confirmed: the quota
+    // retry then waits on this caller's thread.
+    publish(queue, std::move(msg));
+    return;
+  }
+  const auto started = Clock::now();
+  Frame req;
+  req.op = Op::kPublish;
+  req.queue = queue;
+  append_message_binary(req.body, msg);
+  std::unique_lock<std::mutex> lk(window_mutex_);
+  const bool room = window_cv_.wait_until(
+      lk, started + ticks(config_.retry_deadline_s), [this] {
+        return closed_.load(std::memory_order_acquire) ||
+               window_.size() < kMaxUnconfirmed;
+      });
+  if (closed_.load(std::memory_order_acquire)) {
+    throw MqError("net: broker handle closed");
+  }
+  if (!room) {
+    throw NetError("net: publish to " + config_.endpoint + " stalled: " +
+                   std::to_string(kMaxUnconfirmed) +
+                   " frames still unconfirmed after " +
+                   std::to_string(config_.retry_deadline_s) + "s");
+  }
+  req.corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
+  const Frame& frame = window_.emplace(req.corr, std::move(req)).first->second;
+  // While disconnected the frame just waits for the reconnect resend.
+  if (connected_.load(std::memory_order_acquire)) send_frame(frame);
+}
+
 std::optional<mq::Delivery> RemoteBroker::get(const std::string& queue,
                                               double timeout_s) {
   const auto started = Clock::now();
@@ -495,20 +576,18 @@ std::vector<mq::Delivery> RemoteBroker::get_batch(const std::string& queue,
 }
 
 bool RemoteBroker::ack(const std::string& queue, std::uint64_t delivery_tag) {
-  // Single-shot by design: if the connection died, the server already
-  // requeued this delivery, so "not acked" is the truthful answer and the
-  // message will be redelivered.
+  // Pipelined, never resent: if the connection died, the server already
+  // requeued this delivery and the message will be redelivered, so an ack
+  // that missed its connection has nothing left to release.
   const auto started = Clock::now();
-  if (!wait_connected(1.0)) return false;
   Frame req;
   req.op = Op::kAck;
+  req.corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
   req.queue = queue;
   req.arg = delivery_tag;
-  std::string why;
-  std::optional<Frame> resp =
-      roundtrip(req, config_.response_grace_s, &why);
+  const bool sent = connected_.load(std::memory_order_acquire) && send_frame(req);
   observe_op(ack_us_, started);
-  return resp.has_value() && (resp->flags & kFlagTrue) != 0;
+  return sent;
 }
 
 bool RemoteBroker::nack(const std::string& queue, std::uint64_t delivery_tag,
@@ -528,18 +607,20 @@ bool RemoteBroker::nack(const std::string& queue, std::uint64_t delivery_tag,
 std::size_t RemoteBroker::ack_batch(
     const std::string& queue,
     const std::vector<std::uint64_t>& delivery_tags) {
+  // Pipelined like ack(); returns the number of tags sent.
   const auto started = Clock::now();
-  if (delivery_tags.empty() || !wait_connected(1.0)) return 0;
+  if (delivery_tags.empty() || !connected_.load(std::memory_order_acquire)) {
+    return 0;
+  }
   Frame req;
   req.op = Op::kAckBatch;
+  req.corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
   req.queue = queue;
   put_u32(req.body, static_cast<std::uint32_t>(delivery_tags.size()));
   for (std::uint64_t tag : delivery_tags) put_u64(req.body, tag);
-  std::string why;
-  std::optional<Frame> resp =
-      roundtrip(req, config_.response_grace_s, &why);
+  const bool sent = send_frame(req);
   observe_op(ack_batch_us_, started);
-  return resp.has_value() ? static_cast<std::size_t>(resp->arg) : 0;
+  return sent ? delivery_tags.size() : 0;
 }
 
 std::size_t RemoteBroker::requeue_unacked(const std::string& queue) {
@@ -593,6 +674,11 @@ void RemoteBroker::close() {
     send_frame(bye);  // best effort: lets the daemon requeue eagerly
   }
   conn_cv_.notify_all();
+  {
+    // Wake publish_unconfirmed callers blocked on a full window.
+    std::lock_guard<std::mutex> lk(window_mutex_);
+  }
+  window_cv_.notify_all();
   {
     // Wake the io thread's poll immediately.
     std::lock_guard<std::mutex> lk(write_mutex_);

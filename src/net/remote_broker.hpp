@@ -1,33 +1,52 @@
 // RemoteBroker: a BrokerHandle speaking the framed wire protocol to an
 // entk_broker daemon.
 //
-// One multiplexed TCP connection carries every component's traffic: caller
-// threads assign a correlation id, register a pending slot, write the
-// request frame (serialized by a write mutex) and block on the slot; a
-// single io thread reads response frames and completes slots by
+// One multiplexed TCP connection carries every component's traffic. A
+// confirmed request assigns a correlation id, registers a pending slot,
+// writes the request frame (serialized by a write mutex) and blocks on the
+// slot; a single io thread reads response frames and completes slots by
 // correlation id. Long-poll gets therefore don't starve each other — the
 // server parks them and the client just waits on its own slot.
+//
+// Pipelined requests do not wait on the wire. publish_unconfirmed writes
+// its frame and returns; the frame stays in a bounded window (kept in
+// correlation order) until the io thread reads its confirm. ack and
+// ack_batch write their frame and return "sent"; nothing waits for, or
+// keeps, them. The server handles one connection's frames in order, so a
+// pipelined frame still takes effect before any later request on the same
+// handle.
 //
 // The io thread also owns liveness: it sends heartbeat frames (corr = 0)
 // every heartbeat_interval_s, treats a missing echo as a dead connection,
 // and runs the reconnect loop with exponential backoff. On reconnect it
-// re-declares every queue this client ever declared (fire-and-forget,
-// before the handle is marked connected, so TCP ordering puts the
-// declares ahead of any retried operation).
+// re-declares every queue this client ever declared (fire-and-forget),
+// then resends the unconfirmed window in correlation order, all before the
+// handle is marked connected, so TCP ordering puts both ahead of any
+// retried operation.
 //
 // Failure semantics per operation class:
-//   * publish / publish_batch / declare / has_queue — retried across
-//     reconnects until retry_deadline_s, then NetError. A retry after a
-//     lost response may duplicate a publish: at-least-once, the same
-//     contract redelivery already imposes on consumers.
+//   * publish / publish_batch / declare / has_queue — confirmed; retried
+//     across reconnects until retry_deadline_s, then NetError. A retry
+//     after a lost response may duplicate a publish: at-least-once, the
+//     same contract redelivery already imposes on consumers.
+//   * publish_unconfirmed — resent after every reconnect until confirmed.
+//     Like a retry, a resend may duplicate. Blocks only while the window is
+//     full (NetError after retry_deadline_s). On a tenant-bound handle it
+//     is a confirmed publish: only a tenant can be throttled (kErrQuota),
+//     and a throttled frame resent later would land behind the frames
+//     pipelined after it, breaking per-handle order.
 //   * get / get_batch — single-shot: empty on a dead connection (every
 //     component polls in a loop anyway).
-//   * ack / ack_batch / nack — single-shot: failure means the broker will
-//     redeliver (it requeued our unacked messages when the connection
-//     died), which is exactly what un-acked means.
+//   * ack / ack_batch — pipelined and never resent: after a disconnect the
+//     server has already requeued every delivery the connection held, so
+//     a lost ack releases nothing and the message is redelivered. Returns
+//     whether the frame was sent, not whether the server found the tag.
+//   * nack — single-shot round-trip, false on a dead connection.
 //   * depth_snapshot — best-effort, {} when disconnected.
 //   * kError responses (semantic failures like an unknown queue) rethrow
-//     as MqError immediately, never retried.
+//     as MqError immediately for a waiting caller, never retried. A kError
+//     that answers a pipelined frame, or a caller that gave up, is counted
+//     in net.client.async_errors and logged.
 //
 // health() reports the *server's* broker health (sticky journal errors
 // forwarded on heartbeat echoes) — not transient connection loss, which
@@ -36,6 +55,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -92,6 +112,7 @@ class RemoteBroker : public mq::BrokerHandle {
                                            mq::QueueOptions options = {}) override;
   bool has_queue(const std::string& queue) const override;
   std::uint64_t publish(const std::string& queue, mq::Message msg) override;
+  void publish_unconfirmed(const std::string& queue, mq::Message msg) override;
   std::uint64_t publish_batch(const std::string& queue,
                               std::vector<mq::Message> msgs) override;
   std::optional<mq::Delivery> get(const std::string& queue,
@@ -124,6 +145,8 @@ class RemoteBroker : public mq::BrokerHandle {
   std::uint64_t quota_throttled() const {
     return quota_throttled_.load(std::memory_order_relaxed);
   }
+  /// Pipelined publishes still waiting for their confirm.
+  std::size_t unconfirmed() const;
 
  private:
   struct PendingSlot {
@@ -143,6 +166,9 @@ class RemoteBroker : public mq::BrokerHandle {
   /// Read/dispatch/heartbeat until the connection dies or close() runs.
   void serve_connection(int fd);
   void dispatch(Frame&& resp);
+  /// A reply no caller waits for: retire its window entry and report a
+  /// kError.
+  void settle(Frame&& resp);
   void fail_pending(const std::string& why);
   /// Encode + write one frame on the live connection. Returns false when
   /// there is no live connection or the write fails (the io thread then
@@ -180,6 +206,14 @@ class RemoteBroker : public mq::BrokerHandle {
   mutable std::map<std::uint64_t, PendingSlot> pending_;
   mutable std::atomic<std::uint64_t> next_corr_{1};
 
+  // Unconfirmed window: pipelined publishes by corr, kept until their
+  // confirm arrives. Frames are written under window_mutex_, and the io
+  // thread flips connected_ under it too, so each frame goes out once per
+  // connection: by its caller, or by the reconnect resend.
+  mutable std::mutex window_mutex_;
+  std::condition_variable window_cv_;  ///< a slot freed or close()
+  std::map<std::uint64_t, Frame> window_;
+
   // Queues declared through this handle, re-declared after reconnect.
   mutable std::mutex declared_mutex_;
   std::map<std::string, bool> declared_;  // name -> durable requested
@@ -203,6 +237,8 @@ class RemoteBroker : public mq::BrokerHandle {
   obs::Counter* bytes_out_ = nullptr;
   obs::Counter* reconnects_metric_ = nullptr;
   obs::Counter* quota_throttled_metric_ = nullptr;
+  obs::Counter* async_errors_metric_ = nullptr;
+  obs::Counter* resent_metric_ = nullptr;
   obs::Histogram* publish_us_ = nullptr;
   obs::Histogram* publish_batch_us_ = nullptr;
   obs::Histogram* get_us_ = nullptr;

@@ -40,12 +40,16 @@ bool SyncClient::request(json::Array ids, ObjectKind kind, std::uint8_t from,
   msg["corr"] = corr;
   if (await_ack) msg["reply_to"] = ack_queue_;
   try {
-    broker_->publish(states_queue_,
-                     mq::Message::json_body(states_queue_, std::move(msg)));
+    mq::Message request = mq::Message::json_body(states_queue_, std::move(msg));
+    if (!await_ack) {
+      // Nobody reads the confirm of an unawaited transition: pipeline it.
+      broker_->publish_unconfirmed(states_queue_, std::move(request));
+      return true;
+    }
+    broker_->publish(states_queue_, std::move(request));
   } catch (const MqError&) {
     return false;  // broker shutting down
   }
-  if (!await_ack) return true;
   // Acks for this component arrive in request order (single synchronizer,
   // single blocked requester per ack queue).
   for (int spins = 0; spins < 2000; ++spins) {

@@ -31,7 +31,9 @@ class SyncClient {
 
   /// Request a transition. With `await_ack`, blocks until the Synchronizer
   /// confirms the commit (or the broker closes); returns false when the
-  /// transition was rejected or the confirmation never arrived.
+  /// transition was rejected or the confirmation never arrived. Without
+  /// it, the request goes out through publish_unconfirmed and the call
+  /// returns without waiting on the broker.
   bool sync(const Transition& t, bool await_ack = false);
 
   /// Vectored sync: every task in `ids` moves `from` -> `to`, shipped as

@@ -129,16 +129,8 @@ void WorkerDaemon::drain() {
   // Stop fetching new work first, then let what the RTS already owns
   // finish within the drain budget.
   runtime_->Component::stop();
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(config_.drain_timeout_s));
-  while (runtime_->in_flight() > 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  const std::size_t leftover = runtime_->in_flight();
-  if (leftover > 0) {
+  if (!runtime_->wait_drained(config_.drain_timeout_s)) {
+    const std::size_t leftover = runtime_->in_flight();
     ENTK_WARN(worker_id_)
         << "draining with " << leftover
         << " unit(s) still in flight; their deliveries return to the "

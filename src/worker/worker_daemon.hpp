@@ -12,8 +12,10 @@
 //
 // run() drives the daemon's main loop until a drain is requested
 // (request_drain() is async-signal-safe, callable from a SIGTERM handler):
-// it then stops fetching, waits for in-flight units to finish (bounded by
-// drain_timeout_s), deregisters and tears the stack down. Deliveries still
+// it then stops fetching, waits until every in-flight unit's result is
+// confirmed or handed back (woken by the runtime's ledger, bounded by
+// drain_timeout_s),
+// deregisters and tears the stack down. Deliveries still
 // unacked at that point return to the Pending queue via the broker's
 // disconnect requeue — drain is graceful, never lossy.
 //

@@ -1,5 +1,6 @@
 #include "src/worker/worker_runtime.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -61,8 +62,9 @@ void WorkerRuntime::acquire_resources() {
 
 void WorkerRuntime::attach_callback() {
   // RTS Callback subcomponent: forward completions to the Done queue
-  // (paper Fig 2, message 4). With a flush window configured, results are
-  // coalesced into bulk Done messages instead of one publish per unit.
+  // (paper Fig 2, message 4). With a flush window configured, or with
+  // ack_on_completion, results are coalesced into bulk Done messages
+  // instead of one publish per unit.
   std::lock_guard<std::mutex> lock(rts_mutex_);
   rts_->set_completion_callback([this](const rts::UnitResult& result) {
     json::Value msg;
@@ -76,14 +78,17 @@ void WorkerRuntime::attach_callback() {
     if (!config_.worker_id.empty()) msg["worker"] = config_.worker_id;
     if (!result.metadata.is_null()) msg["metadata"] = result.metadata;
     bool coalesced = false;
-    if (config_.completion_flush_window_s > 0) {
+    if (coalesces()) {
       std::vector<json::Value> overflow;
       {
         std::lock_guard<std::mutex> flush_lock(flush_mutex_);
         if (flusher_running_) {
           completion_buffer_.push_back(std::move(msg));
           coalesced = true;
-          if (completion_buffer_.size() >= config_.completion_flush_max) {
+          // The confirmed flusher takes whatever has piled up; only the
+          // window flusher caps its batches here.
+          if (!config_.ack_on_completion &&
+              completion_buffer_.size() >= config_.completion_flush_max) {
             overflow.swap(completion_buffer_);
           }
         }
@@ -94,18 +99,14 @@ void WorkerRuntime::attach_callback() {
         flush_cv_.notify_one();
       }
     }
+    // Unbuffered (no flusher, or it already stopped): publish inline. The
+    // delivery claim is released only once the result is confirmed: a
+    // crash before that leaves the delivery unacked and the broker
+    // requeues it for a surviving worker.
     if (!coalesced) {
-      try {
-        broker_->publish(done_queue_,
-                         mq::Message::json_body(done_queue_, std::move(msg)));
-      } catch (const MqError&) {
-        // AppManager broker is gone: we are shutting down.
-      }
+      const bool confirmed = publish_done(std::move(msg));
+      if (config_.ack_on_completion) ledger_settle({result.uid}, confirmed);
     }
-    // Release the delivery claim only after the result reached the Done
-    // queue (or its buffer): a crash before this point leaves the delivery
-    // unacked and the broker requeues it for a surviving worker.
-    if (config_.ack_on_completion) ledger_complete(result.uid);
     tasks_done_.fetch_add(1);
     profiler_->record("rts_callback", "unit_completed", result.uid);
     if (completed_metric_ != nullptr) completed_metric_->add(1);
@@ -113,30 +114,58 @@ void WorkerRuntime::attach_callback() {
   });
 }
 
+bool WorkerRuntime::publish_done(json::Value result) {
+  try {
+    broker_->publish(done_queue_,
+                     mq::Message::json_body(done_queue_, std::move(result)));
+    return true;
+  } catch (const MqError& e) {
+    // AppManager broker is gone (we are shutting down) or unreachable past
+    // the retry deadline. With ack_on_completion the caller hands the
+    // deliveries back (ledger_settle), so the results are recomputed.
+    if (config_.ack_on_completion) {
+      ENTK_WARN(sync_component_) << "Done publish not confirmed: " << e.what();
+    }
+    return false;
+  }
+}
+
 void WorkerRuntime::flush_completions(std::vector<json::Value> buffered) {
   if (buffered.empty()) return;
+  std::vector<std::string> uids;
+  if (config_.ack_on_completion) {
+    uids.reserve(buffered.size());
+    for (const json::Value& r : buffered) {
+      uids.push_back(r.get_string("uid", ""));
+    }
+  }
   json::Value msg;
   json::Array results;
   results.reserve(buffered.size());
   for (json::Value& r : buffered) results.push_back(std::move(r));
   msg["results"] = std::move(results);
-  try {
-    broker_->publish(done_queue_,
-                     mq::Message::json_body(done_queue_, std::move(msg)));
-  } catch (const MqError&) {
-    // AppManager broker is gone: we are shutting down.
-  }
+  const bool confirmed = publish_done(std::move(msg));
+  if (config_.ack_on_completion) ledger_settle(uids, confirmed);
 }
 
 void WorkerRuntime::flush_loop() {
   std::unique_lock<std::mutex> lock(flush_mutex_);
   while (!stop_requested()) {
-    flush_cv_.wait_for(
-        lock, std::chrono::duration<double>(config_.completion_flush_window_s),
-        [this] {
-          return stop_requested() ||
-                 completion_buffer_.size() >= config_.completion_flush_max;
-        });
+    if (config_.ack_on_completion) {
+      // No timer: wake on the first buffered result. Results that arrive
+      // while a flush waits for its confirm form the next batch.
+      flush_cv_.wait(lock, [this] {
+        return stop_requested() || !completion_buffer_.empty();
+      });
+    } else {
+      flush_cv_.wait_for(
+          lock,
+          std::chrono::duration<double>(config_.completion_flush_window_s),
+          [this] {
+            return stop_requested() ||
+                   completion_buffer_.size() >= config_.completion_flush_max;
+          });
+    }
     if (completion_buffer_.empty()) continue;
     std::vector<json::Value> buffered;
     buffered.swap(completion_buffer_);
@@ -155,7 +184,7 @@ void WorkerRuntime::flush_loop() {
 
 void WorkerRuntime::on_start() {
   resolve_metrics();
-  if (config_.completion_flush_window_s > 0) {
+  if (coalesces()) {
     {
       std::lock_guard<std::mutex> lock(flush_mutex_);
       flusher_running_ = true;
@@ -167,7 +196,14 @@ void WorkerRuntime::on_start() {
   profiler_->record(name(), "emgr_start");
 }
 
-void WorkerRuntime::on_stop_requested() { flush_cv_.notify_all(); }
+void WorkerRuntime::on_stop_requested() {
+  // Pass through each mutex first: a waiter that has just seen
+  // stop_requested() false is then already blocked when the notify lands.
+  { std::lock_guard<std::mutex> lock(flush_mutex_); }
+  flush_cv_.notify_all();
+  { std::lock_guard<std::mutex> lock(ledger_mutex_); }
+  ledger_cv_.notify_all();
+}
 
 void WorkerRuntime::on_reattach() {
   // Pending-queue deliveries (and sync acks) the dead emgr worker held
@@ -178,10 +214,13 @@ void WorkerRuntime::on_reattach() {
   if (broker_->has_queue(config_.ack_queue)) {
     broker_->requeue_unacked(config_.ack_queue);
   }
-  std::lock_guard<std::mutex> lock(ledger_mutex_);
-  ledger_remaining_.clear();
-  ledger_uid_tag_.clear();
-  unit_cache_.clear();
+  {
+    std::lock_guard<std::mutex> lock(ledger_mutex_);
+    ledger_remaining_.clear();
+    ledger_uid_tag_.clear();
+    unit_cache_.clear();
+  }
+  ledger_cv_.notify_all();
 }
 
 double WorkerRuntime::stop() {
@@ -219,6 +258,12 @@ rts::RtsStats WorkerRuntime::rts_stats() const {
 std::size_t WorkerRuntime::in_flight() const {
   std::lock_guard<std::mutex> lock(ledger_mutex_);
   return ledger_uid_tag_.size();
+}
+
+bool WorkerRuntime::wait_drained(double timeout_s) {
+  std::unique_lock<std::mutex> lock(ledger_mutex_);
+  return ledger_cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
+                             [this] { return ledger_uid_tag_.empty(); });
 }
 
 void WorkerRuntime::ledger_track(std::uint64_t tag,
@@ -260,28 +305,49 @@ void WorkerRuntime::ledger_track(std::uint64_t tag,
   }
 }
 
-void WorkerRuntime::ledger_complete(const std::string& uid) {
-  std::uint64_t ack_tag = 0;
-  bool ack = false;
+void WorkerRuntime::ledger_settle(const std::vector<std::string>& uids,
+                                  bool confirmed) {
+  if (!confirmed) {
+    // The results are lost, so no delivery holding one of these units may
+    // be acked: hand each back whole. Its other units may still be
+    // running; their results find no claim, and the rerun is deduplicated
+    // downstream like any redelivery.
+    std::vector<std::uint64_t> tags;
+    {
+      std::lock_guard<std::mutex> lock(ledger_mutex_);
+      for (const std::string& uid : uids) {
+        const auto it = ledger_uid_tag_.find(uid);
+        if (it == ledger_uid_tag_.end()) continue;  // superseded or cleared
+        if (std::find(tags.begin(), tags.end(), it->second) == tags.end()) {
+          tags.push_back(it->second);
+        }
+      }
+    }
+    ledger_nack(tags);
+    return;
+  }
+  std::vector<std::uint64_t> finished;
   {
     std::lock_guard<std::mutex> lock(ledger_mutex_);
-    unit_cache_.erase(uid);
-    const auto it = ledger_uid_tag_.find(uid);
-    if (it == ledger_uid_tag_.end()) return;  // superseded or restart-cleared
-    const std::uint64_t tag = it->second;
-    ledger_uid_tag_.erase(it);
-    const auto rem = ledger_remaining_.find(tag);
-    if (rem != ledger_remaining_.end() && --rem->second == 0) {
-      ledger_remaining_.erase(rem);
-      ack_tag = tag;
-      ack = true;
+    for (const std::string& uid : uids) {
+      unit_cache_.erase(uid);
+      const auto it = ledger_uid_tag_.find(uid);
+      if (it == ledger_uid_tag_.end()) continue;  // superseded or cleared
+      const std::uint64_t tag = it->second;
+      ledger_uid_tag_.erase(it);
+      const auto rem = ledger_remaining_.find(tag);
+      if (rem != ledger_remaining_.end() && --rem->second == 0) {
+        ledger_remaining_.erase(rem);
+        finished.push_back(tag);
+      }
     }
   }
-  if (ack) {
+  ledger_cv_.notify_all();
+  if (!finished.empty()) {
     try {
-      broker_->ack(pending_queue_, ack_tag);
+      broker_->ack_batch(pending_queue_, finished);
     } catch (const MqError&) {
-      // Broker gone mid-shutdown; the delivery requeues on disconnect.
+      // Broker gone mid-shutdown; the deliveries requeue on disconnect.
     }
   }
   if (worker_flight_metric_ != nullptr) {
@@ -304,11 +370,17 @@ void WorkerRuntime::ledger_nack(const std::vector<std::uint64_t>& tags) {
       }
     }
   }
+  ledger_cv_.notify_all();
+  // On a dead connection the server has already requeued these, and each
+  // nack just reports false.
   for (const std::uint64_t tag : tags) {
     try {
       broker_->nack(pending_queue_, tag, /*requeue=*/true);
     } catch (const MqError&) {
     }
+  }
+  if (worker_flight_metric_ != nullptr) {
+    worker_flight_metric_->set(static_cast<std::int64_t>(in_flight()));
   }
 }
 
@@ -321,11 +393,18 @@ void WorkerRuntime::emgr_loop() {
     // sibling worker instead of sitting in this worker's unacked ledger.
     std::size_t want = config_.submit_batch;
     if (config_.ack_on_completion && config_.max_in_flight > 0) {
-      const std::size_t flying = in_flight();
-      if (flying >= config_.max_in_flight) {
-        if (wait_stop_for(config_.poll_timeout_s)) break;
-        continue;
+      std::size_t flying;
+      {
+        // At capacity: sleep until the ledger shrinks (a confirmed flush,
+        // a nack, a restart) or stop is requested.
+        std::unique_lock<std::mutex> lock(ledger_mutex_);
+        ledger_cv_.wait(lock, [this] {
+          return stop_requested() ||
+                 ledger_uid_tag_.size() < config_.max_in_flight;
+        });
+        flying = ledger_uid_tag_.size();
       }
+      if (stop_requested()) break;
       want = std::min(want, config_.max_in_flight - flying);
     }
     // Batch: drain whatever is pending, up to submit_batch, in one broker

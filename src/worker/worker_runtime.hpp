@@ -14,7 +14,9 @@
 // tasks from the Pending queue (message 2), translates them into
 // RTS-specific units and submits them for execution (message 3); the RTS
 // Callback subcomponent pushes completed units to the Done queue
-// (message 4); Heartbeat monitors RTS health and — because the RTS is a
+// (message 4) — in the daemon through a flusher that acks a Pending
+// delivery only after the Done publish carrying its units is confirmed;
+// Heartbeat monitors RTS health and — because the RTS is a
 // black box — handles full RTS failure by tearing it down, starting a new
 // instance with fresh pilot resources, and resubmitting only the units
 // that were in flight at the time of failure (paper §II-B-4).
@@ -60,7 +62,8 @@ struct WorkerRuntimeConfig {
   /// a flusher publishes them as one bulk Done message ({"results": [...]})
   /// when the buffer reaches `completion_flush_max` or after this many wall
   /// seconds, whichever comes first. 0 = one Done message per unit (seed
-  /// behavior).
+  /// behavior). ack_on_completion coalesces on its own terms and ignores
+  /// both fields.
   double completion_flush_window_s = 0.0;
   std::size_t completion_flush_max = 256;
 
@@ -76,10 +79,14 @@ struct WorkerRuntimeConfig {
   std::string ack_queue = "q.ack.emgr";
 
   /// At-least-once delivery: hold the pending-queue delivery unacked until
-  /// every unit it carried completed, so a worker killed mid-execution
-  /// leaves its deliveries on the broker's per-connection unacked ledger
-  /// and the disconnect-requeue machinery hands them to a surviving
-  /// worker. Off (seed behaviour) = ack right after parsing.
+  /// the result of every unit it carried is confirmed on the Done queue,
+  /// so a worker killed mid-execution, or mid-flush, leaves its deliveries
+  /// on the broker's per-connection unacked ledger and the disconnect-
+  /// requeue machinery hands them to a surviving worker. The RTS callback
+  /// only buffers the result; the flusher publishes whatever has piled up
+  /// as one {"results": [...]} message, waits for its confirm, and only
+  /// then releases the ledger and acks the finished deliveries with one
+  /// ack_batch. Off (seed behaviour) = ack right after parsing.
   bool ack_on_completion = false;
 
   /// Bounded prefetch: cap the units held by this runtime (fetched but not
@@ -96,7 +103,7 @@ struct WorkerRuntimeConfig {
 };
 
 /// A supervised Component with "emgr", "heartbeat" and (with a flush
-/// window configured) "flush" workers. The RTS handle lives outside the
+/// window configured, or ack_on_completion) "flush" workers. The RTS handle lives outside the
 /// worker lifecycle, so a crashed-and-restarted runtime re-attaches to
 /// the same RTS instance and the Pending queue without losing units.
 class WorkerRuntime : public Component {
@@ -137,9 +144,13 @@ class WorkerRuntime : public Component {
   /// Units completed by this runtime (counts every RTS callback).
   std::size_t tasks_done() const { return tasks_done_.load(); }
 
-  /// Units fetched but not yet completed (ack_on_completion mode only;
-  /// 0 otherwise).
+  /// Units fetched whose results are not yet confirmed on the Done queue
+  /// (ack_on_completion mode only; 0 otherwise).
   std::size_t in_flight() const;
+
+  /// Wait until in_flight() reaches 0, at most `timeout_s`; returns
+  /// whether it did. Woken by every shrink of the ledger.
+  bool wait_drained(double timeout_s);
 
  protected:
   void on_start() override;
@@ -155,19 +166,29 @@ class WorkerRuntime : public Component {
   /// Cache "rts.*" / "worker.*" metric handles once a registry is attached
   /// (idempotent).
   void resolve_metrics();
+  /// Whether completions go through the flusher (a flush window, or
+  /// ack_on_completion).
+  bool coalesces() const {
+    return config_.ack_on_completion || config_.completion_flush_window_s > 0;
+  }
   void flush_loop();
-  /// Publish buffered completion results as one bulk Done message.
+  /// Publish one result as its own Done message; true once confirmed.
+  bool publish_done(json::Value result);
+  /// Publish buffered completion results as one bulk Done message; with
+  /// ack_on_completion, release their claims once it is confirmed.
   void flush_completions(std::vector<json::Value> buffered);
 
   // --- at-least-once delivery ledger (ack_on_completion mode) -----------
   /// Register a fetched delivery holding `uids`; empty deliveries are
   /// acked immediately.
   void ledger_track(std::uint64_t tag, const std::vector<std::string>& uids);
-  /// A unit finished (or was superseded): release its claim; acks the
-  /// delivery once its last unit completes.
-  void ledger_complete(const std::string& uid);
-  /// Submission failed before the RTS owned the units: push the whole
-  /// batch back to the broker for another worker.
+  /// A Done publish carrying `uids` returned. Confirmed: release their
+  /// claims and ack, in one ack_batch, every delivery whose last unit this
+  /// was. Failed: nack every delivery holding one of them (ledger_nack), so
+  /// the ledger still shrinks and the units run again.
+  void ledger_settle(const std::vector<std::string>& uids, bool confirmed);
+  /// Submission or the Done publish failed: forget these deliveries and
+  /// push them back to the broker for another worker.
   void ledger_nack(const std::vector<std::uint64_t>& tags);
 
   const WorkerRuntimeConfig config_;
@@ -190,6 +211,9 @@ class WorkerRuntime : public Component {
   BusyAccumulator emgr_busy_;
 
   mutable std::mutex ledger_mutex_;
+  /// Signalled whenever the ledger shrinks (the emgr's capacity wait and
+  /// wait_drained) and on stop.
+  std::condition_variable ledger_cv_;
   std::map<std::uint64_t, std::size_t> ledger_remaining_;  ///< tag -> open units
   std::map<std::string, std::uint64_t> ledger_uid_tag_;    ///< uid -> tag
   /// Units in flight, kept for RTS-restart resubmission when no resolver
@@ -203,7 +227,7 @@ class WorkerRuntime : public Component {
   obs::Counter* worker_done_metric_ = nullptr;  ///< worker.<id>.tasks_done
   obs::Gauge* worker_flight_metric_ = nullptr;  ///< worker.<id>.in_flight
 
-  // Completion coalescing (used only when completion_flush_window_s > 0).
+  // Completion coalescing (flush window or ack_on_completion).
   std::mutex flush_mutex_;
   std::condition_variable flush_cv_;
   std::vector<json::Value> completion_buffer_;

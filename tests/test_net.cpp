@@ -4,8 +4,11 @@
 // and AppManager end-to-end parity between the in-process and networked
 // backends.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <random>
@@ -13,9 +16,14 @@
 
 #include "src/common/clock.hpp"
 #include "src/core/app_manager.hpp"
+#include "src/core/state_store.hpp"
+#include "src/core/sync.hpp"
+#include "src/mq/tenant.hpp"
 #include "src/net/broker_server.hpp"
 #include "src/net/frame.hpp"
 #include "src/net/remote_broker.hpp"
+#include "src/net/socket.hpp"
+#include "src/obs/metrics.hpp"
 #include "tests/raw_conn.hpp"
 
 namespace entk {
@@ -421,6 +429,201 @@ TEST_F(LoopbackTest, ServerRestartOnSamePortIsTransparentToClient) {
   EXPECT_EQ(text_of(got[0]), "pre-restart");
   EXPECT_EQ(text_of(got[1]), "post-restart");
   EXPECT_GE(client_->reconnects(), 1u);
+}
+
+// ------------------------------------------------ pipelined (window) ops
+
+/// Spin until `done` holds or `timeout_s` passes; returns `done()`.
+template <typename Pred>
+bool eventually(Pred done, double timeout_s = 5.0) {
+  const double deadline = wall_now_s() + timeout_s;
+  while (!done() && wall_now_s() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+std::size_t ready_of(const mq::BrokerPtr& broker, const std::string& queue) {
+  for (const mq::QueueDepth& d : broker->depth_snapshot()) {
+    if (d.queue == queue) return d.ready;
+  }
+  return 0;
+}
+
+TEST_F(LoopbackTest, UnconfirmedPublishMadeWhileDownIsDeliveredAfterReconnect) {
+  server_->stop();
+  ASSERT_TRUE(eventually([this] { return !client_->connected(); }));
+  // Nothing to send it on: it waits in the window and returns at once.
+  client_->publish_unconfirmed("q.t", text_message("q.t", "while-down"));
+  EXPECT_EQ(client_->unconfirmed(), 1u);
+  server_->start();
+  ASSERT_TRUE(eventually([this] { return client_->unconfirmed() == 0; }));
+  auto d = client_->get("q.t", 1.0);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(text_of(*d), "while-down");
+  EXPECT_FALSE(client_->get("q.t", 0.05).has_value());  // resent once
+}
+
+TEST_F(LoopbackTest, UnconfirmedFramesAreResentAfterRestartButAcksAreNot) {
+  auto metrics = std::make_shared<obs::MetricsRegistry>();
+  client_->set_metrics(metrics);
+  client_->publish("q.t", text_message("q.t", "held"));
+  auto held = client_->get("q.t", 1.0);
+  ASSERT_TRUE(held.has_value());
+  const std::uint16_t port = server_->port();
+  server_->stop();  // requeues "held": the connection holding it is gone
+  ASSERT_TRUE(eventually([this] { return !client_->connected(); }));
+  EXPECT_EQ(ready_of(broker_, "q.t"), 1u);
+
+  // A stand-in daemon on the same port accepts the reconnect and reads
+  // nothing, so every pipelined frame sent to it stays unconfirmed.
+  const int listener = net::listen_tcp("127.0.0.1", port);
+  net::set_nonblocking(listener, true);
+  int conn = -1;
+  ASSERT_TRUE(eventually([&] {
+    if (conn < 0) conn = ::accept(listener, nullptr, nullptr);
+    return conn >= 0 && client_->connected();
+  }));
+  client_->publish_unconfirmed("q.t", text_message("q.t", "limbo"));
+  EXPECT_TRUE(client_->ack("q.t", held->delivery_tag));  // sent, never seen
+  EXPECT_EQ(client_->unconfirmed(), 1u);  // the publish, not the ack
+
+  // The stand-in dies; the real daemon comes back on the port.
+  ::shutdown(conn, SHUT_RDWR);
+  net::close_fd(conn);
+  net::close_fd(listener);
+  server_->start();
+  ASSERT_TRUE(eventually([this] { return client_->unconfirmed() == 0; }));
+  EXPECT_GE(metrics->counter("net.client.resent").value(), 1u);
+  // The ack was not replayed: "held" is still ready beside "limbo".
+  EXPECT_EQ(ready_of(broker_, "q.t"), 2u);
+  const std::vector<mq::Delivery> got = client_->get_batch("q.t", 4, 1.0);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(text_of(got[0]), "held");
+  EXPECT_EQ(text_of(got[1]), "limbo");
+  client_->set_metrics(nullptr);
+}
+
+TEST_F(LoopbackTest, PipelinedErrorIsCountedNotDropped) {
+  auto metrics = std::make_shared<obs::MetricsRegistry>();
+  client_->set_metrics(metrics);
+  // No caller waits for these replies, so a kError must still surface.
+  client_->publish_unconfirmed("q.missing", text_message("q.missing", "x"));
+  EXPECT_TRUE(client_->ack("q.missing", 1));
+  obs::Counter& async_errors = metrics->counter("net.client.async_errors");
+  ASSERT_TRUE(eventually([&] { return async_errors.value() == 2; }));
+  EXPECT_EQ(client_->unconfirmed(), 0u);  // an error retires the frame
+  // The connection is unaffected.
+  client_->publish_unconfirmed("q.t", text_message("q.t", "fine"));
+  auto d = client_->get("q.t", 1.0);
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(text_of(*d), "fine");
+  EXPECT_EQ(async_errors.value(), 2u);
+  client_->set_metrics(nullptr);
+}
+
+TEST(RemoteBrokerWindow, TenantPipelinedPublishKeepsOrderUnderQuota) {
+  auto broker = std::make_shared<mq::Broker>("window_quota");
+  auto tenants = std::make_shared<mq::TenantRegistry>();
+  mq::TenantQuota quota;
+  quota.publish_rate = 200.0;
+  quota.burst = 4.0;
+  tenants->register_tenant("paced", quota);
+  net::BrokerServerConfig server_cfg;
+  server_cfg.tenants = tenants;
+  net::BrokerServer server(broker, server_cfg, std::make_shared<Profiler>());
+  server.start();
+  net::RemoteBrokerConfig cfg;
+  cfg.endpoint = server.endpoint();
+  cfg.tenant = "paced";
+  net::RemoteBroker client(cfg);
+  client.declare_queue("q.p", {});
+  // 24 publishes against a 4-message burst: most are refused with
+  // kErrQuota and go again after the retry-after hint, on the caller's
+  // thread, so they still arrive in the order they were made.
+  std::vector<std::string> sent;
+  for (int i = 0; i < 24; ++i) {
+    sent.push_back('m' + std::to_string(i));
+    client.publish_unconfirmed("q.p", text_message("q.p", sent.back()));
+    EXPECT_EQ(client.unconfirmed(), 0u);  // confirmed before it returned
+  }
+  EXPECT_GT(client.quota_throttled(), 0u);
+  EXPECT_GT(server.quota_rejections(), 0u);
+  std::vector<std::string> got;
+  for (const mq::Delivery& d : client.get_batch("q.p", 32, 1.0)) {
+    got.push_back(text_of(d));
+  }
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(tenants->find("paced")->published(), 24u);
+  client.close();
+  server.stop();
+  broker->close();
+}
+
+TEST(RemoteBrokerWindow, TenantTransitionsReachSynchronizerInOrderUnderDepthQuota) {
+  // Every transition of a task is sent unawaited, as the emgr and the
+  // WFProcessor send them. The Synchronizer rejects one whose `from` is not
+  // the task's current state, so a transition overtaken by a later one
+  // under quota backpressure would leave its task short of DONE.
+  auto broker = std::make_shared<mq::Broker>("sync_quota");
+  auto tenants = std::make_shared<mq::TenantRegistry>();
+  mq::TenantQuota quota;
+  quota.max_queue_depth = 4;
+  tenants->register_tenant("deep", quota);
+  net::BrokerServerConfig server_cfg;
+  server_cfg.tenants = tenants;
+  net::BrokerServer server(broker, server_cfg, std::make_shared<Profiler>());
+  server.start();
+  net::RemoteBrokerConfig cfg;
+  cfg.endpoint = server.endpoint();
+  cfg.tenant = "deep";
+  auto client = std::make_shared<net::RemoteBroker>(cfg);
+  client->declare_queue("q.states", {});
+
+  ObjectRegistry registry;
+  auto pipeline = std::make_shared<Pipeline>("p");
+  auto stage = std::make_shared<Stage>("s");
+  std::vector<TaskPtr> tasks;
+  for (int i = 0; i < 30; ++i) {
+    tasks.push_back(std::make_shared<Task>('t' + std::to_string(i)));
+    tasks.back()->duration_s = 1;
+    stage->add_task(tasks.back());
+  }
+  pipeline->add_stage(stage);
+  registry.add_pipeline(pipeline);
+  StateStore store;
+  // The AppManager side consumes the tenant's states queue in process.
+  Synchronizer sync(broker, mq::qualify_queue("deep", "q.states"), &registry,
+                    &store, std::make_shared<Profiler>());
+
+  std::thread sender([&] {
+    SyncClient sc(client, "test", "q.states", "q.ack.test");
+    for (const TaskPtr& task : tasks) {
+      for (int s = static_cast<int>(TaskState::Described);
+           s < static_cast<int>(TaskState::Done); ++s) {
+        sc.sync({task->id(), static_cast<TaskState>(s),
+                 static_cast<TaskState>(s + 1)});
+      }
+    }
+  });
+  // Nothing drains the backlog until the depth quota has pushed back.
+  EXPECT_TRUE(eventually([&] { return client->quota_throttled() > 0; }));
+  sync.start();
+  sender.join();
+  EXPECT_TRUE(eventually(
+      [&] {
+        return std::all_of(tasks.begin(), tasks.end(), [](const TaskPtr& t) {
+          return t->state() == TaskState::Done;
+        });
+      },
+      10.0));
+  EXPECT_EQ(sync.rejected(), 0u);
+  EXPECT_EQ(sync.processed(),
+            tasks.size() * static_cast<std::size_t>(TaskState::Done));
+  sync.stop();
+  client->close();
+  server.stop();
+  broker->close();
 }
 
 TEST(RemoteBrokerTest, UnreachableEndpointFailsFast) {

@@ -1,16 +1,23 @@
 // Direct tests of the reusable worker runtime (src/worker): inline-unit
 // execution without a registry, the at-least-once delivery ledger
-// (ack-on-completion), bounded prefetch, and the registration/liveness
-// directory — the pieces the entk_worker daemon is assembled from, tested
-// against an in-process broker so no TCP or fork is involved.
+// (ack-on-completion, acks only after the confirmed Done publish), bounded
+// prefetch, and the registration/liveness directory — the pieces the
+// entk_worker daemon is assembled from, tested against an in-process
+// broker (plus one loopback BrokerServer for the kill-mid-flush case) so
+// no fork is involved.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <map>
+#include <mutex>
 #include <set>
 #include <thread>
 
 #include "src/core/state_store.hpp"
 #include "src/core/wfprocessor.hpp"
+#include "src/net/broker_server.hpp"
+#include "src/net/remote_broker.hpp"
 #include "src/rts/local_rts.hpp"
 #include "src/worker/registration.hpp"
 #include "src/worker/worker_runtime.hpp"
@@ -45,18 +52,28 @@ class WorkerRuntimeFixture : public ::testing::Test {
     broker_->close();
   }
 
-  void start_runtime(worker::WorkerRuntimeConfig cfg = {}, int rts_workers = 2) {
+  /// A started runtime over `handle` (default: the in-process broker).
+  std::unique_ptr<worker::WorkerRuntime> make_runtime(
+      worker::WorkerRuntimeConfig cfg, int rts_workers,
+      mq::BrokerHandlePtr handle) {
     cfg.supervision.heartbeat_interval_s = 0.005;
     rts::RtsFactory factory = [this, rts_workers]() -> rts::RtsPtr {
       return std::make_shared<rts::LocalRts>(
           rts::LocalRtsConfig{.workers = rts_workers}, clock_, profiler_);
     };
     // The daemon's resolver: nothing to resolve, units must arrive inline.
-    runtime_ = std::make_unique<worker::WorkerRuntime>(
-        "worker_runtime", cfg, broker_, worker::UnitResolver{}, "q.pending",
-        "q.completed", "q.states", factory, profiler_);
-    runtime_->acquire_resources();
-    runtime_->start();
+    auto runtime = std::make_unique<worker::WorkerRuntime>(
+        "worker_runtime", cfg, handle ? handle : broker_,
+        worker::UnitResolver{}, "q.pending", "q.completed", "q.states",
+        factory, profiler_);
+    runtime->acquire_resources();
+    runtime->start();
+    return runtime;
+  }
+
+  void start_runtime(worker::WorkerRuntimeConfig cfg = {}, int rts_workers = 2,
+                     mq::BrokerHandlePtr handle = nullptr) {
+    runtime_ = make_runtime(std::move(cfg), rts_workers, std::move(handle));
   }
 
   static rts::TaskUnit make_unit(const std::string& uid, double duration_s) {
@@ -90,6 +107,15 @@ class WorkerRuntimeFixture : public ::testing::Test {
       out.push_back(d->message.body_json());
     }
     return out;
+  }
+
+  /// The results a Done message carries, read the way the WFProcessor's
+  /// dequeue loop reads them: a {"results": [...]} batch or one result.
+  static std::vector<json::Value> results_of(const mq::Delivery& d) {
+    const json::Value body = d.message.body_json();
+    if (!body.contains("results")) return {body};
+    const json::Array& results = body.at("results").as_array();
+    return {results.begin(), results.end()};
   }
 
   mq::QueueDepth depth(const std::string& queue) {
@@ -180,7 +206,9 @@ TEST_F(WorkerRuntimeFixture, BoundedPrefetchCapsUnitsHeldAtOnce) {
     auto d = broker_->get("q.completed", 0.005);
     if (!d) continue;
     broker_->ack("q.completed", d->delivery_tag);
-    seen.insert(d->message.body_json().get_string("uid", ""));
+    for (const json::Value& r : results_of(*d)) {
+      seen.insert(r.get_string("uid", ""));
+    }
   }
   EXPECT_EQ(seen.size(), uids.size());
   EXPECT_LE(max_seen, 2u);
@@ -212,6 +240,365 @@ TEST_F(WorkerRuntimeFixture, RtsRestartResubmitsCachedInlineUnits) {
   EXPECT_EQ(runtime_->rts_stats().units_in_flight, 1u);
   // The pending delivery is still claimed by this runtime, not requeued.
   EXPECT_EQ(depth("q.pending").unacked, 1u);
+}
+
+// ------------------------------------------------ ack after the confirm
+
+/// A BrokerHandle decorator recording, in order, every confirmed Done
+/// publish (with the uids its results carry) and every ack of a pending
+/// delivery, plus which units each pending delivery carried. hold_done()
+/// makes Done publishes block until release(), to stop a flush midway;
+/// fail_done(n) makes the next n Done publishes throw NetError, as one does
+/// after retry_deadline_s of broker outage.
+class RecordingBroker : public mq::BrokerHandle {
+ public:
+  struct Event {
+    bool done_confirmed = false;      ///< else an ack of pending tags
+    std::vector<std::string> uids;    ///< results of the confirmed publish
+    std::vector<std::uint64_t> tags;  ///< acked pending delivery tags
+  };
+
+  explicit RecordingBroker(mq::BrokerHandlePtr inner)
+      : inner_(std::move(inner)) {}
+
+  void hold_done() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    holding_ = true;
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      holding_ = false;
+    }
+    cv_.notify_all();
+  }
+  void fail_done(int n) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    failing_ = n;
+  }
+  /// Done publishes failed by fail_done, and the uids their results carried.
+  std::vector<std::string> failed_uids() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return failed_uids_;
+  }
+  /// True once a Done publish is blocked in hold_done().
+  bool wait_held(double timeout_s) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
+                        [this] { return held_ > 0; });
+  }
+  std::vector<Event> events() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return events_;
+  }
+  std::map<std::uint64_t, std::vector<std::string>> units_by_tag() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return units_by_tag_;
+  }
+
+  std::shared_ptr<mq::Queue> declare_queue(const std::string& queue,
+                                           mq::QueueOptions options) override {
+    return inner_->declare_queue(queue, options);
+  }
+  bool has_queue(const std::string& queue) const override {
+    return inner_->has_queue(queue);
+  }
+  std::uint64_t publish(const std::string& queue, mq::Message msg) override {
+    if (queue != "q.completed") return inner_->publish(queue, std::move(msg));
+    std::vector<std::string> uids;
+    const auto body = msg.payload();
+    if (body->contains("results")) {
+      for (const json::Value& r : body->at("results").as_array()) {
+        uids.push_back(r.get_string("uid", ""));
+      }
+    } else {
+      uids.push_back(body->get_string("uid", ""));
+    }
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !holding_; });
+      --held_;
+      if (failing_ > 0) {
+        --failing_;
+        failed_uids_.insert(failed_uids_.end(), uids.begin(), uids.end());
+        throw net::NetError("net: publish failed after retries");
+      }
+    }
+    const std::uint64_t seq = inner_->publish(queue, std::move(msg));
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_.push_back({true, std::move(uids), {}});
+    return seq;
+  }
+  void publish_unconfirmed(const std::string& queue,
+                           mq::Message msg) override {
+    inner_->publish_unconfirmed(queue, std::move(msg));
+  }
+  std::uint64_t publish_batch(const std::string& queue,
+                              std::vector<mq::Message> msgs) override {
+    return inner_->publish_batch(queue, std::move(msgs));
+  }
+  std::optional<mq::Delivery> get(const std::string& queue,
+                                  double timeout_s) override {
+    auto d = inner_->get(queue, timeout_s);
+    if (d && queue == "q.pending") note_units(*d);
+    return d;
+  }
+  std::vector<mq::Delivery> get_batch(const std::string& queue,
+                                      std::size_t max_n,
+                                      double timeout_s) override {
+    auto batch = inner_->get_batch(queue, max_n, timeout_s);
+    if (queue == "q.pending") {
+      for (const mq::Delivery& d : batch) note_units(d);
+    }
+    return batch;
+  }
+  bool ack(const std::string& queue, std::uint64_t tag) override {
+    if (queue == "q.pending") note_ack({tag});
+    return inner_->ack(queue, tag);
+  }
+  bool nack(const std::string& queue, std::uint64_t tag,
+            bool requeue) override {
+    return inner_->nack(queue, tag, requeue);
+  }
+  std::size_t ack_batch(const std::string& queue,
+                        const std::vector<std::uint64_t>& tags) override {
+    if (queue == "q.pending") note_ack(tags);
+    return inner_->ack_batch(queue, tags);
+  }
+  std::size_t requeue_unacked(const std::string& queue) override {
+    return inner_->requeue_unacked(queue);
+  }
+  std::vector<mq::QueueDepth> depth_snapshot() const override {
+    return inner_->depth_snapshot();
+  }
+  void close() override { inner_->close(); }
+  bool closed() const override { return inner_->closed(); }
+
+ private:
+  void note_units(const mq::Delivery& d) {
+    std::vector<std::string> uids;
+    for (const json::Value& u : d.message.payload()->at("units").as_array()) {
+      uids.push_back(u.get_string("uid", ""));
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    units_by_tag_[d.delivery_tag] = std::move(uids);
+  }
+  void note_ack(const std::vector<std::uint64_t>& tags) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_.push_back({false, {}, tags});
+  }
+
+  mq::BrokerHandlePtr inner_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  int held_ = 0;
+  int failing_ = 0;
+  std::vector<std::string> failed_uids_;
+  std::vector<Event> events_;
+  std::map<std::uint64_t, std::vector<std::string>> units_by_tag_;
+};
+
+/// Releases a held Done publish on every exit path, so a failed assertion
+/// cannot leave a flusher blocked for the teardown to join.
+struct ReleaseOnExit {
+  RecordingBroker& broker;
+  ~ReleaseOnExit() { broker.release(); }
+};
+
+TEST_F(WorkerRuntimeFixture, AckFollowsConfirmedDonePublish) {
+  auto recorder = std::make_shared<RecordingBroker>(broker_);
+  worker::WorkerRuntimeConfig cfg;
+  cfg.ack_on_completion = true;
+  cfg.max_in_flight = 4;
+  start_runtime(cfg, /*rts_workers=*/2, recorder);
+  // Two units per delivery, so a delivery is acked only once both of its
+  // results are confirmed; staggered durations split them across flushes.
+  std::set<std::string> uids;
+  for (int i = 0; i < 8; ++i) {
+    const std::string a = "task.ord" + std::to_string(2 * i);
+    const std::string b = "task.ord" + std::to_string(2 * i + 1);
+    uids.insert(a);
+    uids.insert(b);
+    publish_units({make_unit(a, 10.0 * (i % 3)), make_unit(b, 40.0)});
+  }
+  std::set<std::string> seen;
+  const double deadline = wall_now_s() + 10.0;
+  while (seen.size() < uids.size() && wall_now_s() < deadline) {
+    auto d = broker_->get("q.completed", 0.01);
+    if (!d) continue;
+    broker_->ack("q.completed", d->delivery_tag);
+    for (const json::Value& r : results_of(*d)) {
+      seen.insert(r.get_string("uid", ""));
+    }
+  }
+  ASSERT_EQ(seen, uids);
+  for (int spin = 0; spin < 2000 && depth("q.pending").unacked != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(depth("q.pending").unacked, 0u);
+
+  const auto units = recorder->units_by_tag();
+  ASSERT_EQ(units.size(), 8u);
+  std::set<std::string> confirmed;
+  std::set<std::uint64_t> acked;
+  for (const RecordingBroker::Event& e : recorder->events()) {
+    if (e.done_confirmed) {
+      confirmed.insert(e.uids.begin(), e.uids.end());
+      continue;
+    }
+    for (const std::uint64_t tag : e.tags) {
+      ASSERT_TRUE(units.count(tag)) << "ack of unknown tag " << tag;
+      for (const std::string& uid : units.at(tag)) {
+        EXPECT_TRUE(confirmed.count(uid))
+            << "delivery " << tag << " acked before the Done publish "
+            << "carrying " << uid << " was confirmed";
+      }
+      acked.insert(tag);
+    }
+  }
+  EXPECT_EQ(acked.size(), units.size());
+}
+
+TEST_F(WorkerRuntimeFixture, FailedDonePublishHandsDeliveriesBack) {
+  auto recorder = std::make_shared<RecordingBroker>(broker_);
+  recorder->fail_done(2);
+  worker::WorkerRuntimeConfig cfg;
+  cfg.ack_on_completion = true;
+  cfg.max_in_flight = 2;
+  start_runtime(cfg, /*rts_workers=*/2, recorder);
+  std::set<std::string> uids;
+  for (int i = 0; i < 6; ++i) {
+    const std::string uid = "task.fail" + std::to_string(i);
+    uids.insert(uid);
+    publish_units({make_unit(uid, 10.0)});
+  }
+  // The first two Done publishes fail. Their results are lost, so their
+  // deliveries go back to the queue instead of holding both prefetch
+  // slots forever: the runtime runs them again and drains the rest.
+  std::set<std::string> seen;
+  const double deadline = wall_now_s() + 10.0;
+  while (seen.size() < uids.size() && wall_now_s() < deadline) {
+    auto d = broker_->get("q.completed", 0.01);
+    if (!d) continue;
+    broker_->ack("q.completed", d->delivery_tag);
+    for (const json::Value& r : results_of(*d)) {
+      seen.insert(r.get_string("uid", ""));
+    }
+  }
+  EXPECT_EQ(seen, uids);
+  EXPECT_FALSE(recorder->failed_uids().empty());
+  EXPECT_TRUE(runtime_->wait_drained(5.0));
+  for (int spin = 0; spin < 2000 && depth("q.pending").unacked != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(depth("q.pending").ready, 0u);
+  EXPECT_EQ(depth("q.pending").unacked, 0u);
+  // No delivery was acked on the strength of a failed publish.
+  std::set<std::string> confirmed;
+  const auto units = recorder->units_by_tag();
+  for (const RecordingBroker::Event& e : recorder->events()) {
+    if (e.done_confirmed) {
+      confirmed.insert(e.uids.begin(), e.uids.end());
+      continue;
+    }
+    for (const std::uint64_t tag : e.tags) {
+      for (const std::string& uid : units.at(tag)) {
+        EXPECT_TRUE(confirmed.count(uid)) << "acked " << uid << " unconfirmed";
+      }
+    }
+  }
+}
+
+TEST_F(WorkerRuntimeFixture, KillInsideFlushLeavesDeliveriesForASurvivor) {
+  net::BrokerServer server(broker_, net::BrokerServerConfig{}, profiler_);
+  server.start();
+  auto connect = [&server] {
+    net::RemoteBrokerConfig cfg;
+    cfg.endpoint = server.endpoint();
+    cfg.retry_deadline_s = 2.0;
+    return std::make_shared<net::RemoteBroker>(cfg);
+  };
+  auto first_conn = connect();
+  auto first = std::make_shared<RecordingBroker>(first_conn);
+  ReleaseOnExit release_first{*first};
+  first->hold_done();
+
+  std::set<std::string> uids;
+  for (int i = 0; i < 3; ++i) {
+    const std::string a = "task.kill" + std::to_string(2 * i);
+    const std::string b = "task.kill" + std::to_string(2 * i + 1);
+    uids.insert(a);
+    uids.insert(b);
+    publish_units({make_unit(a, 10.0), make_unit(b, 10.0)});
+  }
+  worker::WorkerRuntimeConfig cfg;
+  cfg.ack_on_completion = true;
+  cfg.worker_id = "first";
+  cfg.ack_queue = "q.ack.first";
+  start_runtime(cfg, /*rts_workers=*/2, first);
+
+  // Every unit ran, and the flusher is stuck inside its Done publish.
+  ASSERT_TRUE(first->wait_held(5.0));
+  for (int spin = 0; spin < 5000 && runtime_->tasks_done() < uids.size();
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(runtime_->tasks_done(), uids.size());
+  // Nothing is confirmed, so every delivery is still held unacked.
+  mq::QueueDepth pending = depth("q.pending");
+  EXPECT_EQ(pending.ready, 0u);
+  EXPECT_EQ(pending.unacked, 3u);
+  EXPECT_EQ(depth("q.completed").ready, 0u);
+  EXPECT_EQ(runtime_->in_flight(), uids.size());
+
+  // The worker dies mid-flush: its connection goes, the server requeues
+  // what it held, and the held publish fails on the closed handle.
+  first_conn->close();
+  first->release();
+  runtime_->stop();
+  runtime_.reset();
+  for (int spin = 0; spin < 2000 && depth("q.pending").ready != 3; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(depth("q.pending").ready, 3u);
+  EXPECT_EQ(first->units_by_tag().size(), 3u);
+  for (const RecordingBroker::Event& e : first->events()) {
+    EXPECT_TRUE(e.done_confirmed || e.tags.empty()) << "acked before confirm";
+  }
+
+  // A surviving worker drains the requeued deliveries: every task DONE,
+  // exactly once.
+  auto second_conn = connect();
+  cfg.worker_id = "second";
+  cfg.ack_queue = "q.ack.second";
+  auto second = make_runtime(cfg, /*rts_workers=*/2, second_conn);
+  std::map<std::string, int> done;
+  std::size_t results = 0;
+  const double deadline = wall_now_s() + 10.0;
+  while (done.size() < uids.size() && wall_now_s() < deadline) {
+    auto d = broker_->get("q.completed", 0.01);
+    if (!d) continue;
+    broker_->ack("q.completed", d->delivery_tag);
+    for (const json::Value& r : results_of(*d)) {
+      ++results;
+      EXPECT_EQ(r.get_string("outcome", ""), "DONE");
+      ++done[r.get_string("uid", "")];
+    }
+  }
+  for (int spin = 0; spin < 2000 && second->in_flight() != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  second->stop();
+  EXPECT_EQ(results, uids.size());
+  ASSERT_EQ(done.size(), uids.size());
+  for (const std::string& uid : uids) EXPECT_EQ(done[uid], 1) << uid;
+  EXPECT_EQ(depth("q.pending").ready, 0u);
+  EXPECT_EQ(depth("q.completed").ready, 0u);
+  second_conn->close();
+  server.stop();
 }
 
 // ------------------------------------------------- registration/liveness
